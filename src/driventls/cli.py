@@ -65,8 +65,6 @@ def _param_echo(config: RunConfig) -> dict:
         "zeta": p.zeta,
         "dipole": p.dipole,
         "steps_per_period": prop.steps_per_period,
-        "method": prop.method,
-        "unitarity_tol": prop.unitarity_tol,
         "n_grid": config.n_grid,
     }
 
@@ -245,7 +243,8 @@ def _validate_one(config: RunConfig, zeta: float) -> dict:
             elif abs(line.intensity_numeric - line.intensity_analytic) > 1e-12 * mu2:
                 intensities_ok = False
 
-    drift = propagation_diagnostics(params, config.propagation)["max_step_defect"]
+    defect = propagation_diagnostics(params, config.propagation)["final_defect"]
+    drift = defect / config.propagation.steps_per_period
 
     passes = {
         "pass_quasienergy": gap <= _THRESHOLDS["quasienergy_gap"],
@@ -393,6 +392,26 @@ def _write_output(text: str, path: str | None) -> None:
         handle.write(text)
 
 
+def _at_least(kind, low):
+    """argparse type: a finite kind(text) >= low, so bad values exit 2."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {low}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+def _grid_size(text: str) -> int:
+    value = int(text)
+    if value < 64 or value & (value - 1):
+        raise argparse.ArgumentTypeError(f"must be a power of two >= 64, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="driventls",
@@ -408,23 +427,23 @@ def _build_parser() -> argparse.ArgumentParser:
     drive.add_argument("--zeta", type=float, default=None, help="drive strength 2*rabi (default pi/5)")
     common.add_argument("--mu", type=float, default=1.0, help="dipole moment (default 1)")
     common.add_argument("--steps", type=int, default=4096, help="integrator steps per period (default 4096)")
-    common.add_argument("--grid", type=int, default=512, help="mode samples per period (default 512)")
+    common.add_argument("--grid", type=_grid_size, default=512, help="mode samples per period (default 512)")
     common.add_argument("--format", choices=_FORMATS, default="csv", help="output format (default csv; validate always emits json)")
     common.add_argument("--out", default=None, help="output file (default stdout)")
 
     sub = parser.add_subparsers(dest="command", required=True)
     weights = sub.add_parser("weights", parents=[common], help="bare-state weights of both modes over one period")
-    weights.add_argument("--zetas", type=float, nargs="+", required=True, help="drive strengths to tabulate")
+    weights.add_argument("--zetas", type=_at_least(float, 0.0), nargs="+", required=True, help="drive strengths to tabulate")
     sweep = sub.add_parser("sweep", parents=[common], help="quasienergies versus drive strength")
-    sweep.add_argument("--zeta-min", type=float, default=0.0)
-    sweep.add_argument("--zeta-max", type=float, default=6.0)
-    sweep.add_argument("--zeta-steps", type=int, default=121)
-    sweep.add_argument("--manifolds", type=int, default=1, help="replica manifolds on each side (default 1)")
+    sweep.add_argument("--zeta-min", type=_at_least(float, 0.0), default=0.0)
+    sweep.add_argument("--zeta-max", type=_at_least(float, 0.0), default=6.0)
+    sweep.add_argument("--zeta-steps", type=_at_least(int, 2), default=121)
+    sweep.add_argument("--manifolds", type=_at_least(int, 0), default=1, help="replica manifolds on each side (default 1)")
     spectrum_cmd = sub.add_parser("spectrum", parents=[common], help="transition line table")
-    spectrum_cmd.add_argument("--k-max", type=int, default=3)
+    spectrum_cmd.add_argument("--k-max", type=_at_least(int, 1), default=3)
     spectrum_cmd.add_argument("--include-forbidden", action="store_true")
     validate = sub.add_parser("validate", parents=[common], help="first-order accuracy report (json)")
-    validate.add_argument("--zetas", type=float, nargs="+", required=True, help="drive strengths to check")
+    validate.add_argument("--zetas", type=_at_least(float, 0.0), nargs="+", required=True, help="drive strengths to check")
     return parser
 
 
@@ -445,8 +464,10 @@ def main(argv: list[str] | None = None) -> int:
             output_format=args.format,
             output_path=args.out,
         )
-        if getattr(args, "zetas", None) is not None and any(z < 0 for z in args.zetas):
-            raise DomainError("drive strengths must be >= 0")
+        if args.command == "sweep" and not args.zeta_min < args.zeta_max:
+            raise DomainError("--zeta-min must be below --zeta-max")
+        if args.command != "sweep" and args.grid > args.steps:
+            raise DomainError("--grid must not exceed --steps")
     except DrivenTLSError as exc:
         parser.error(str(exc))
 

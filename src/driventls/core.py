@@ -11,6 +11,7 @@ Pauli-type operators are defined here once and imported everywhere else.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,9 @@ class SystemParams:
         delta: transition frequency over drive frequency, >= 0.
         rabi: Rabi frequency over drive frequency, >= 0.
         dipole: dipole matrix element mu; intensities scale as mu**2.
+
+    Any real number, numpy scalars included, is accepted and stored as a
+    plain float; bool is rejected.
     """
 
     delta: float
@@ -69,8 +73,13 @@ class SystemParams:
     def __post_init__(self) -> None:
         for name in ("delta", "rabi", "dipole"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if (
+                not isinstance(value, numbers.Real)
+                or isinstance(value, bool)
+                or not math.isfinite(value)
+            ):
                 raise ParameterError(f"{name} must be a finite real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.delta < 0:
             raise ParameterError(f"delta must be >= 0, got {self.delta}")
         if self.rabi < 0:

@@ -63,6 +63,10 @@ class QuasienergyPair:
     eps1: float
     eps2: float
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "eps1", float(self.eps1))
+        object.__setattr__(self, "eps2", float(self.eps2))
+
     def for_label(self, label: int) -> float:
         if label == 1:
             return self.eps1

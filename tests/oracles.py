@@ -121,3 +121,28 @@ def fd_derivative_periodic(values: np.ndarray, h: float) -> np.ndarray:
     for m, c in enumerate(coeffs, start=1):
         out += c * (np.roll(values, -m) - np.roll(values, m))
     return out / h
+
+
+def shirley_quasienergies(delta: float, zeta: float) -> tuple[float, float]:
+    """Both quasienergies in (-1/2, 1/2] from Shirley's Floquet matrix.
+
+    J. H. Shirley, Phys. Rev. 138, B979 (1965): expanding a Floquet state in
+    harmonics exp(i n tau) turns H(tau) = diag(-delta/2, delta/2) -
+    (zeta/2) cos(tau) sigma_x into a time-independent symmetric matrix with
+    diagonal blocks diag(-delta/2 + n, delta/2 + n) and blocks
+    -(zeta/4) sigma_x between neighbouring harmonics.  No time grid and no
+    integrator; ceil(zeta) + 40 harmonics on each side truncate far past
+    where J_n(zeta/2) is negligible.
+    """
+    n_harm = int(np.ceil(zeta)) + 40
+    n = np.arange(-n_harm, n_harm + 1, dtype=float)
+    h = np.diag(np.column_stack((n - 0.5 * delta, n + 0.5 * delta)).ravel())
+    # ground of harmonic n couples to excited of n + 1 and vice versa
+    ground = 2 * np.arange(n.size - 1)
+    for a, b in ((ground, ground + 3), (ground + 1, ground + 2)):
+        h[a, b] = h[b, a] = -0.25 * zeta
+    values = np.linalg.eigvalsh(h)
+    inside = values[(values > -0.5) & (values <= 0.5)]
+    if inside.size != 2:
+        raise RuntimeError(f"{inside.size} Floquet-matrix eigenvalues in the zone")
+    return float(inside[0]), float(inside[1])

@@ -173,6 +173,10 @@ def test_usage_errors_exit_2(capsys):
         ["weights"],
         ["weights", "--zetas", "-1"],
         ["weights", "--zetas", "1", "--steps", "100"],
+        ["weights", "--zetas", "1", "--grid", "100"],
+        ["sweep", "--zeta-min", "-1"],
+        ["sweep", "--zeta-steps", "1"],
+        ["spectrum", "--k-max", "0"],
         ["nonsense"],
         [],
     ):

@@ -46,6 +46,11 @@ def test_params_validation():
         SystemParams(delta=math.nan, rabi=1.0)
     with pytest.raises(ParameterError):
         SystemParams(delta=0.1, rabi=math.inf)
+    with pytest.raises(ParameterError):
+        SystemParams(delta=True, rabi=1.0)
+    # numpy real scalars are accepted and stored as plain floats
+    p = SystemParams(delta=np.float32(0.1), rabi=np.int64(1))
+    assert type(p.delta) is float and type(p.rabi) is float and type(p.dipole) is float
 
 
 def test_params_immutable():

@@ -260,6 +260,7 @@ def test_exact_quasienergies_free_limit():
     pair = exact_quasienergies(SystemParams(delta=0.1, rabi=0.0))
     assert pair.eps1 == pytest.approx(-0.05, abs=1e-10)
     assert pair.eps2 == pytest.approx(0.05, abs=1e-10)
+    assert type(pair.eps1) is float and type(pair.eps2) is float
 
 
 def test_exact_quasienergies_sign_flip():
