@@ -9,13 +9,11 @@ between the Floquet-mode manifolds.
 """
 
 from .analytic import (
-    AuxiliaryFunctions,
     alpha,
     analytic_evolution,
     analytic_floquet_state,
     analytic_modes,
     analytic_quasienergies,
-    auxiliary_functions,
     beta_over_i,
     eta,
     phi,
@@ -44,18 +42,17 @@ from .core import (
 from .floquet import (
     PARITY,
     FloquetMode,
+    FloquetSolution,
     ModeMatch,
     QuasienergyPair,
     build_modes,
     classify_parity,
     exact_quasienergies,
     extract_floquet,
-    floquet_mode_at,
     fold_quasienergy,
     match_modes,
     mode_parity_sign,
     quasienergy_distance,
-    symmetry_classify,
 )
 from .propagator import (
     DEFAULT_CONFIG,
@@ -63,31 +60,26 @@ from .propagator import (
     one_period_propagator,
     propagate,
     propagate_grid,
-    propagation_diagnostics,
 )
 from .spectroscopy import (
     TransitionLine,
-    dipole_matrix_element,
-    extended_inner,
     is_forbidden,
     line_class,
     line_intensity_analytic,
-    line_intensity_numeric,
     spectrum,
-    transition_frequency,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError",
-    "AuxiliaryFunctions",
     "BesselSeries",
     "ClassificationError",
     "DEFAULT_CONFIG",
     "DomainError",
     "DrivenTLSError",
     "FloquetMode",
+    "FloquetSolution",
     "IDENTITY",
     "ModeMatch",
     "PARITY",
@@ -105,25 +97,20 @@ __all__ = [
     "analytic_floquet_state",
     "analytic_modes",
     "analytic_quasienergies",
-    "auxiliary_functions",
     "bessel_j",
     "bessel_row",
     "beta_over_i",
     "build_modes",
     "classify_parity",
-    "dipole_matrix_element",
     "eta",
     "exact_quasienergies",
-    "extended_inner",
     "extract_floquet",
-    "floquet_mode_at",
     "fold_quasienergy",
     "hamiltonian_at",
     "is_forbidden",
     "j0_zero",
     "line_class",
     "line_intensity_analytic",
-    "line_intensity_numeric",
     "match_modes",
     "mode_parity_sign",
     "one_period_propagator",
@@ -131,14 +118,11 @@ __all__ = [
     "phi",
     "propagate",
     "propagate_grid",
-    "propagation_diagnostics",
     "quasienergy_distance",
     "series_cutoff",
     "spectrum",
     "su2_exponential",
-    "symmetry_classify",
     "tau_grid",
-    "transition_frequency",
     "unitarity_defect",
     "xi_a",
     "xi_s",

@@ -12,19 +12,11 @@ detuning delta; errors scale as delta**2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bessel import bessel_j, bessel_row, series_cutoff
-from .core import (
-    IDENTITY,
-    DomainError,
-    SystemParams,
-    pauli_combination,
-    su2_exponential,
-    tau_grid,
-)
+from .core import DomainError, SystemParams, su2_exponential, tau_grid
 from .floquet import FloquetMode, QuasienergyPair, classify_parity, fold_quasienergy
 
 
@@ -114,33 +106,6 @@ def eta(params: SystemParams, tau):
     return _unwrap(tau, out)
 
 
-@dataclass(frozen=True)
-class AuxiliaryFunctions:
-    """All closed-form coefficient functions evaluated at one phase."""
-
-    phi: float
-    xi_s: float
-    xi_a: float
-    alpha: float
-    beta_over_i: float
-    eta: complex
-
-
-def auxiliary_functions(params: SystemParams, tau: float) -> AuxiliaryFunctions:
-    """Evaluate every coefficient function at a single phase tau."""
-    if np.ndim(tau) != 0:
-        raise DomainError("tau must be a scalar")
-    t = float(tau)
-    return AuxiliaryFunctions(
-        phi=phi(params, t),
-        xi_s=xi_s(params, t),
-        xi_a=xi_a(params, t),
-        alpha=alpha(params, t),
-        beta_over_i=beta_over_i(params, t),
-        eta=eta(params, t),
-    )
-
-
 def analytic_quasienergies(params: SystemParams) -> QuasienergyPair:
     """First-order quasienergies -(delta/2) J_0(zeta) and +(delta/2) J_0(zeta).
 
@@ -220,25 +185,6 @@ def analytic_evolution(params: SystemParams, tau: float) -> np.ndarray:
     )
     correction = su2_exponential(-d * xi_s(params, t), d * eta(params, t))
     return frame @ mean_phase @ correction
-
-
-def _evolution_linearized(params: SystemParams, tau: float) -> np.ndarray:
-    # strictly first-order (non-unitary) variant, kept for tests comparing
-    # the exponential resummation against the plain expansion
-    d = params.delta
-    t = float(tau)
-    ph = params.rabi * math.sin(t)
-    j0 = bessel_j(0, params.zeta)
-    frame = np.array(
-        [[math.cos(ph), 1j * math.sin(ph)], [1j * math.sin(ph), math.cos(ph)]],
-        dtype=complex,
-    )
-    mean_phase = np.array(
-        [[np.exp(0.5j * d * j0 * t), 0.0], [0.0, np.exp(-0.5j * d * j0 * t)]],
-        dtype=complex,
-    )
-    linear = IDENTITY + 1j * pauli_combination(-d * xi_s(params, t), d * eta(params, t))
-    return frame @ mean_phase @ linear
 
 
 def analytic_modes(params: SystemParams, n_grid: int = 512) -> tuple[FloquetMode, FloquetMode]:

@@ -40,12 +40,13 @@ class BesselSeries:
 
 
 def series_cutoff(zeta: float) -> int:
-    """Truncation order for all Bessel sums: ceil(zeta) + 36.
+    """Truncation order for all Bessel sums: ceil(zeta) + max(36, ceil(10*zeta**(1/3))).
 
-    Beyond order ~zeta the values decay super-exponentially; the fixed
-    margin keeps every truncated tail below 1e-13 for zeta <= 40.
+    Beyond order ~zeta the values decay super-exponentially, but the
+    turning-point region around n ~ zeta widens like zeta**(1/3); the margin
+    keeps every truncated tail below 1e-13 for zeta <= 100.
     """
-    return int(math.ceil(zeta)) + 36
+    return int(math.ceil(zeta)) + max(36, math.ceil(10.0 * zeta ** (1.0 / 3.0)))
 
 
 def _miller_row(order_max: int, x: float) -> np.ndarray:
@@ -55,8 +56,13 @@ def _miller_row(order_max: int, x: float) -> np.ndarray:
         row[0] = 1.0
         return row
     # start high enough above both the requested order and the turning
-    # point n ~ x that the seeded tail has converged to the true ratio
-    n_start = max(order_max, math.ceil(x)) + 16 + math.ceil(10.0 * math.log10(1.0 + x))
+    # point n ~ x that the seeded tail has converged to the true ratio and the
+    # dropped normalization tail is negligible; past x ~ 45 the turning-point
+    # region, which widens like x**(1/3), sets the margin
+    margin = max(
+        16 + math.ceil(10.0 * math.log10(1.0 + x)), math.ceil(10.0 * x ** (1.0 / 3.0)) - 2
+    )
+    n_start = max(order_max, math.ceil(x)) + margin
     values = np.zeros(n_start + 2)
     values[n_start] = 1e-30
     for n in range(n_start, 0, -1):
@@ -81,7 +87,7 @@ def bessel_j(n: int, x: float) -> float:
     Returns
     -------
     float
-        J_n(x), absolute error below 1e-12 for x <= 50, n <= 80.
+        J_n(x), absolute error below 1e-12 for x <= 100, n <= 150.
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise DomainError(f"order must be a non-negative integer, got {n!r}")

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import analytic_modes, analytic_quasienergies
-from .core import DomainError, DrivenTLSError, SystemParams, tau_grid
+from .core import DomainError, DrivenTLSError, SystemParams, tau_grid, unitarity_defect
 from .floquet import build_modes, exact_quasienergies, match_modes, quasienergy_distance
-from .propagator import PropagationConfig, propagation_diagnostics
+from .propagator import PropagationConfig
 from .spectroscopy import spectrum
 
 _THRESHOLDS = {
@@ -82,7 +82,7 @@ def cmd_weights(config: RunConfig, zeta_list: list[float]) -> dict:
     for zeta in zeta_list:
         params = config.at_zeta(zeta)
         sources = (
-            ("exact", build_modes(params, config.propagation, config.n_grid)),
+            ("exact", build_modes(params, config.propagation, config.n_grid).modes),
             ("analytic", analytic_modes(params, config.n_grid)),
         )
         for source, modes in sources:
@@ -186,13 +186,8 @@ def cmd_sweep(
 
 def cmd_spectrum(config: RunConfig, k_max: int, include_forbidden: bool) -> dict:
     """Transition line table for the configured drive strength."""
-    lines = spectrum(
-        config.params,
-        k_max,
-        config.propagation,
-        n_grid=config.n_grid,
-        include_forbidden=include_forbidden,
-    )
+    modes = build_modes(config.params, config.propagation, config.n_grid).modes
+    lines = spectrum(config.params, modes, k_max, include_forbidden)
     rows = [
         {
             "i": line.i,
@@ -216,7 +211,8 @@ def cmd_spectrum(config: RunConfig, k_max: int, include_forbidden: bool) -> dict
 
 def _validate_one(config: RunConfig, zeta: float) -> dict:
     params = config.at_zeta(zeta)
-    exact = build_modes(params, config.propagation, config.n_grid)
+    solution = build_modes(params, config.propagation, config.n_grid)
+    exact = solution.modes
     analytic = analytic_modes(params, config.n_grid)
     analytic_pair = analytic_quasienergies(params)
 
@@ -226,9 +222,7 @@ def _validate_one(config: RunConfig, zeta: float) -> dict:
     )
     fidelity = min(match_modes(exact, analytic).overlaps)
 
-    lines = spectrum(
-        params, 9, config.propagation, n_grid=config.n_grid, include_forbidden=True
-    )
+    lines = spectrum(params, exact, 9, include_forbidden=True)
     mu2 = params.dipole**2
     leakage = 0.0
     rel_error = 0.0
@@ -243,8 +237,7 @@ def _validate_one(config: RunConfig, zeta: float) -> dict:
             elif abs(line.intensity_numeric - line.intensity_analytic) > 1e-12 * mu2:
                 intensities_ok = False
 
-    defect = propagation_diagnostics(params, config.propagation)["final_defect"]
-    drift = defect / config.propagation.steps_per_period
+    drift = unitarity_defect(solution.monodromy) / config.propagation.steps_per_period
 
     passes = {
         "pass_quasienergy": gap <= _THRESHOLDS["quasienergy_gap"],
@@ -468,6 +461,8 @@ def main(argv: list[str] | None = None) -> int:
             raise DomainError("--zeta-min must be below --zeta-max")
         if args.command != "sweep" and args.grid > args.steps:
             raise DomainError("--grid must not exceed --steps")
+        if args.command == "spectrum" and 2 * args.k_max >= args.grid:
+            raise DomainError("--k-max must be below --grid/2")
     except DrivenTLSError as exc:
         parser.error(str(exc))
 

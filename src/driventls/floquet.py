@@ -23,7 +23,7 @@ from .core import (
     tau_grid,
     unitarity_defect,
 )
-from .propagator import PropagationConfig, propagate, propagate_grid
+from .propagator import PropagationConfig, propagate_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -128,11 +128,6 @@ def classify_parity(samples: np.ndarray) -> str:
     return "symmetric" if s.real > 0.0 else "antisymmetric"
 
 
-def symmetry_classify(mode: FloquetMode) -> str:
-    """Parity class of a mode, recomputed from its samples."""
-    return classify_parity(mode.samples)
-
-
 def mode_parity_sign(eigvec: np.ndarray, quasienergy: float, half_period: np.ndarray) -> float:
     """Expectation of the symmetry operator in a monodromy eigenvector.
 
@@ -214,10 +209,20 @@ def extract_floquet(
     return QuasienergyPair(eb, ea), vb, va
 
 
-def floquet_mode_at(params, eigvec, quasienergy, tau, config=None) -> np.ndarray:
-    """Periodic mode function at phase tau from its tau = 0 eigenvector."""
-    u = propagate(params, 0.0, tau, config)
-    return np.exp(1j * quasienergy * tau) * (u @ np.asarray(eigvec, dtype=complex))
+def _labelled(
+    monodromy: np.ndarray, half: np.ndarray
+) -> tuple[QuasienergyPair, np.ndarray, np.ndarray]:
+    """extract_floquet with the symmetric mode first, by mode_parity_sign."""
+    pair, v1, v2 = extract_floquet(monodromy, symmetry_half=half)
+    s1 = mode_parity_sign(v1, pair.eps1, half)
+    s2 = mode_parity_sign(v2, pair.eps2, half)
+    if s1 * s2 >= 0.0:
+        raise ClassificationError(
+            f"parity signs {s1:.3f}, {s2:.3f} do not split the modes"
+        )
+    if s1 > 0.0:
+        return pair, v1, v2
+    return QuasienergyPair(pair.eps2, pair.eps1), v2, v1
 
 
 def _mode_samples(grid: np.ndarray, eigvec: np.ndarray, quasienergy: float) -> np.ndarray:
@@ -227,11 +232,30 @@ def _mode_samples(grid: np.ndarray, eigvec: np.ndarray, quasienergy: float) -> n
     return phases[:, None] * (grid[:n] @ eigvec)
 
 
+@dataclass(frozen=True, eq=False)
+class FloquetSolution:
+    """Everything one propagation over a period yields at a parameter point.
+
+    modes is (mode1, mode2) with mode 1 symmetric; monodromy is the
+    one-period propagator U(2*pi, 0) the modes were extracted from;
+    error_estimate is the step-halving error estimate over every grid point.
+    """
+
+    modes: tuple[FloquetMode, FloquetMode]
+    monodromy: np.ndarray
+    error_estimate: float
+
+    def __post_init__(self) -> None:
+        monodromy = np.array(self.monodromy, dtype=complex)
+        monodromy.setflags(write=False)
+        object.__setattr__(self, "monodromy", monodromy)
+
+
 def build_modes(
     params,
     config: PropagationConfig | None = None,
     n_grid: int = 512,
-) -> tuple[FloquetMode, FloquetMode]:
+) -> FloquetSolution:
     """Both Floquet modes of the driven system, sampled over one period.
 
     Arguments:
@@ -241,9 +265,9 @@ def build_modes(
             64 <= n_grid <= steps_per_period.
 
     Returns:
-        (mode1, mode2) where mode 1 is the symmetric mode.  Mode samples are
-        unit norm at every grid point and satisfy the phase convention at
-        tau = 0.
+        FloquetSolution from a single propagation.  Mode 1 is the symmetric
+        mode; mode samples are unit norm at every grid point and satisfy the
+        phase convention at tau = 0.
     """
     config = config or PropagationConfig()
     if (
@@ -256,21 +280,13 @@ def build_modes(
             "n_grid must be a power of two with 64 <= n_grid <= steps_per_period, "
             f"got {n_grid!r}"
         )
-    grid = propagate_grid(params, config, n_grid)
-    pair, v1, v2 = extract_floquet(grid[n_grid], symmetry_half=grid[n_grid // 2])
-
-    samples = (_mode_samples(grid, v1, pair.eps1), _mode_samples(grid, v2, pair.eps2))
-    parities = (classify_parity(samples[0]), classify_parity(samples[1]))
-    if parities[0] == parities[1]:
-        raise ClassificationError(
-            f"both modes classified {parities[0]}; symmetry resolution failed"
-        )
-    sym = 0 if parities[0] == "symmetric" else 1
-    anti = 1 - sym
-    eps = (pair.eps1, pair.eps2)
-    mode1 = FloquetMode(1, eps[sym], samples[sym], "symmetric", "exact")
-    mode2 = FloquetMode(2, eps[anti], samples[anti], "antisymmetric", "exact")
-    return mode1, mode2
+    grid, estimate = propagate_grid(params, config, n_grid)
+    pair, v1, v2 = _labelled(grid[n_grid], grid[n_grid // 2])
+    modes = (
+        FloquetMode(1, pair.eps1, _mode_samples(grid, v1, pair.eps1), "symmetric", "exact"),
+        FloquetMode(2, pair.eps2, _mode_samples(grid, v2, pair.eps2), "antisymmetric", "exact"),
+    )
+    return FloquetSolution(modes, grid[n_grid], estimate)
 
 
 def exact_quasienergies(params, config: PropagationConfig | None = None) -> QuasienergyPair:
@@ -279,17 +295,9 @@ def exact_quasienergies(params, config: PropagationConfig | None = None) -> Quas
     Cheaper than build_modes when the mode functions are not needed; eps1
     belongs to the symmetric mode.
     """
-    grid = propagate_grid(params, config, n_grid=2)
-    pair, v1, v2 = extract_floquet(grid[2], symmetry_half=grid[1])
-    s1 = mode_parity_sign(v1, pair.eps1, grid[1])
-    s2 = mode_parity_sign(v2, pair.eps2, grid[1])
-    if s1 * s2 >= 0.0:
-        raise ClassificationError(
-            f"parity signs {s1:.3f}, {s2:.3f} do not split the modes"
-        )
-    if s1 > 0.0:
-        return pair
-    return QuasienergyPair(pair.eps2, pair.eps1)
+    grid, _ = propagate_grid(params, config, n_grid=2)
+    pair, _, _ = _labelled(grid[2], grid[1])
+    return pair
 
 
 @dataclass(frozen=True)

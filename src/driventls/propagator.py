@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AccuracyError, DomainError, SystemParams, unitarity_defect
+from .core import AccuracyError, DomainError, SystemParams
 
 TWO_PI = 2.0 * math.pi
 
@@ -165,12 +165,13 @@ def one_period_propagator(
 
 def propagate_grid(
     params: SystemParams, config: PropagationConfig | None = None, n_grid: int = 512
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """U(tau_k, 0) on the uniform grid tau_k = 2*pi*k/n_grid, k = 0..n_grid.
 
-    The last entry is the monodromy operator; the middle entry (even n_grid)
-    is the half-period propagator used for symmetry resolution.  The
-    step-halving error estimate covers every grid point.
+    Returns the (n_grid + 1, 2, 2) array of propagators and its step-halving
+    error estimate, which covers every grid point.  The last entry is the
+    monodromy operator; the middle entry (even n_grid) is the half-period
+    propagator used for symmetry resolution.
     """
     config = config or DEFAULT_CONFIG
     if not isinstance(n_grid, (int, np.integer)) or n_grid < 1:
@@ -178,15 +179,5 @@ def propagate_grid(
     sub = max(1, config.steps_per_period // n_grid)
     # the half-step run needs an even step count
     sub += (sub * n_grid) % 2
-    u, _ = _checked(params, 0.0, TWO_PI, sub * n_grid, n_grid)
-    return _matrices(u)
-
-
-def propagation_diagnostics(
-    params: SystemParams, config: PropagationConfig | None = None
-) -> dict:
-    """Accuracy of the monodromy operator: its step-halving error estimate
-    and its unitarity defect."""
-    config = config or DEFAULT_CONFIG
-    u, estimate = _checked(params, 0.0, TWO_PI, config.steps_per_period, 1)
-    return {"error_estimate": estimate, "final_defect": unitarity_defect(_matrices(u[-1]))}
+    u, estimate = _checked(params, 0.0, TWO_PI, sub * n_grid, n_grid)
+    return _matrices(u), estimate

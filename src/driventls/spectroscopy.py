@@ -17,8 +17,7 @@ import numpy as np
 from .analytic import analytic_quasienergies
 from .bessel import bessel_j
 from .core import SIGMA_X, DomainError, SystemParams, tau_grid
-from .floquet import FloquetMode, QuasienergyPair, build_modes
-from .propagator import PropagationConfig
+from .floquet import FloquetMode
 
 
 @dataclass(frozen=True)
@@ -81,55 +80,6 @@ def line_class(i: int, j: int, k: int) -> str:
     return "intra_manifold" if k == 0 else "hyper_raman"
 
 
-def extended_inner(f: np.ndarray, g: np.ndarray) -> complex:
-    """Period-averaged inner product (1/n) sum_tau <f(tau)|g(tau)>.
-
-    Both arguments are spinor samples of shape (n, 2) on the same uniform
-    grid over one period, n >= 64.  The rectangle rule is spectrally
-    accurate for smooth periodic integrands.
-    """
-    fa = np.asarray(f, dtype=complex)
-    ga = np.asarray(g, dtype=complex)
-    if fa.shape != ga.shape:
-        raise DomainError(f"grids differ: {fa.shape} vs {ga.shape}")
-    if fa.ndim != 2 or fa.shape[1] != 2 or fa.shape[0] < 64:
-        raise DomainError(f"samples must have shape (n >= 64, 2), got {fa.shape}")
-    return complex(np.mean(np.sum(np.conj(fa) * ga, axis=1)))
-
-
-def dipole_matrix_element(
-    mode_i: FloquetMode, mode_j: FloquetMode, k: int, dipole: float
-) -> complex:
-    """Period-averaged matrix element of the dipole times e^{i k tau}.
-
-    The dipole operator is dipole * (sigma_minus + sigma_plus); k offsets
-    the initial state by k drive quanta.
-    """
-    _check_offset(k)
-    if mode_i.n_samples != mode_j.n_samples:
-        raise DomainError("modes must share the same sample grid")
-    taus = tau_grid(mode_j.n_samples)
-    driven = (dipole * np.exp(1j * k * taus))[:, None] * (mode_j.samples @ SIGMA_X)
-    return extended_inner(mode_i.samples, driven)
-
-
-def line_intensity_numeric(
-    params: SystemParams,
-    i: int,
-    j: int,
-    k: int,
-    config: PropagationConfig | None = None,
-    n_grid: int = 512,
-) -> float:
-    """Squared dipole matrix element between exact Floquet modes."""
-    _check_label(i)
-    _check_label(j)
-    modes = build_modes(params, config, n_grid)
-    by_label = {m.label: m for m in modes}
-    element = dipole_matrix_element(by_label[i], by_label[j], k, params.dipole)
-    return float(abs(element) ** 2)
-
-
 def line_intensity_analytic(params: SystemParams, i: int, j: int, k: int) -> float:
     """Closed-form first-order line intensity in units of dipole**2.
 
@@ -146,65 +96,59 @@ def line_intensity_analytic(params: SystemParams, i: int, j: int, k: int) -> flo
     return mu2 * (params.delta * jk / k) ** 2
 
 
-def transition_frequency(
-    params: SystemParams, i: int, j: int, k: int, quasienergies: QuasienergyPair
-) -> float:
-    """Spectral position |eps_j - eps_i + k| in units of the drive frequency.
-
-    The quasienergy pair may come from analytic_quasienergies or from the
-    exact solver; params fixes the label convention being used.
-    """
-    _check_label(i)
-    _check_label(j)
-    _check_offset(k)
-    del params
-    return abs(quasienergies.for_label(j) - quasienergies.for_label(i) + k)
-
-
 def spectrum(
     params: SystemParams,
+    modes: tuple[FloquetMode, FloquetMode],
     k_max: int,
-    config: PropagationConfig | None = None,
-    n_grid: int = 512,
     include_forbidden: bool = False,
 ) -> list[TransitionLine]:
     """All transitions ending in the reference manifold, sorted by frequency.
 
     Arguments:
         params: system parameters.
-        k_max: include initial-state offsets |k| <= k_max, k_max >= 1.
-        config: integrator settings for the exact modes.
-        n_grid: sample grid for the matrix elements.
+        modes: (mode1, mode2) on one sample grid, e.g. build_modes(...).modes.
+        k_max: include initial-state offsets |k| <= k_max, with
+            1 <= k_max < n_samples/2; a grid of n samples cannot tell k from
+            k - n.
         include_forbidden: also emit parity-forbidden lines, whose numeric
-            intensity quantifies the symmetry leakage of the solver.
+            intensity quantifies the symmetry leakage of the modes.
 
     Returns:
         TransitionLine list.  Frequencies come from the first-order
         quasienergies, so degenerate doublets collapse exactly at the
         level-crossing drive strengths; intensities are computed both from
-        the exact modes and from the closed-form formulas.
+        the given modes and from the closed-form formulas.
     """
+    n = modes[0].n_samples
+    if modes[1].n_samples != n:
+        raise DomainError("modes must share the same sample grid")
     if not isinstance(k_max, (int, np.integer)) or k_max < 1:
         raise DomainError(f"k_max must be an integer >= 1, got {k_max!r}")
+    if k_max >= n // 2:
+        raise DomainError(f"k_max must be below n_samples/2 = {n // 2}, got {k_max}")
     pair = analytic_quasienergies(params)
-    modes = build_modes(params, config, n_grid)
     by_label = {m.label: m for m in modes}
+    ks = np.arange(-k_max, k_max + 1)
+    phases = np.exp(1j * np.multiply.outer(tau_grid(n), ks))
     lines = []
     for i in (1, 2):
         for j in (1, 2):
-            for k in range(-k_max, k_max + 1):
+            # <mode_i(tau)| sigma_x |mode_j(tau)> at every sample
+            f = np.sum(np.conj(by_label[i].samples) * (by_label[j].samples @ SIGMA_X), axis=1)
+            # period average of f(tau) e^{i k tau} for every k at once
+            intensities = params.dipole**2 * np.abs(f @ phases / n) ** 2
+            for k, intensity in zip(ks.tolist(), intensities.tolist()):
                 forbidden = is_forbidden(i, j, k)
                 if forbidden and not include_forbidden:
                     continue
                 signed = pair.for_label(j) - pair.for_label(i) + k
-                element = dipole_matrix_element(by_label[i], by_label[j], k, params.dipole)
                 lines.append(
                     TransitionLine(
                         i=i,
                         j=j,
                         k=k,
                         frequency=abs(signed),
-                        intensity_numeric=float(abs(element) ** 2),
+                        intensity_numeric=intensity,
                         intensity_analytic=line_intensity_analytic(params, i, j, k),
                         line_class=line_class(i, j, k),
                         forbidden=forbidden,

@@ -17,9 +17,10 @@ from mpmath import mp, mpf
 def j_power_series(n: int, x: float, dps: int = 40) -> float:
     """J_n(x) from the ascending series sum_m (-1)^m (x/2)^(n+2m) / (m! (n+m)!).
 
-    The series alternates with huge intermediate terms for large x, so it is
-    summed in multiprecision and rounded to float at the end.  Slow but
-    trustworthy; valid for the whole tested range (x <= 50, n <= 80).
+    The series alternates with huge intermediate terms for large x (about
+    1e41 at x = 100), so it is summed in multiprecision and rounded to float
+    at the end.  Slow but trustworthy; the default 40 digits cover x <= 50,
+    dps=80 covers x <= 100 (n <= 150 tested).
     """
     if n < 0:
         raise ValueError("order must be non-negative")
@@ -123,6 +124,43 @@ def fd_derivative_periodic(values: np.ndarray, h: float) -> np.ndarray:
     return out / h
 
 
+def evolution_linearized(delta: float, zeta: float, tau: float) -> np.ndarray:
+    """Strictly first-order (non-unitary) evolution operator from 0 to tau.
+
+    The same drive-frame rotation and averaged-detuning phase as the
+    production closed form, but with the correction I + i*M kept linear
+    instead of exponentiated, M = az*sigma_z + ap*sigma_minus + h.c. with
+    az = -delta*xi_s and ap = delta*eta.  xi_s, xi_a and J0 come from the
+    quadrature and power-series routes above, not from the package.
+    """
+    ph = 0.5 * zeta * np.sin(tau)
+    j0 = j_power_series(0, zeta)
+    eta = 1j * (
+        xi_a_zero_quadrature(zeta) - np.exp(-1j * delta * j0 * tau) * xi_a_quadrature(zeta, tau)
+    )
+    az, ap = -delta * xi_s_quadrature(zeta, tau), delta * eta
+    frame = np.array([[np.cos(ph), 1j * np.sin(ph)], [1j * np.sin(ph), np.cos(ph)]])
+    mean_phase = np.diag([np.exp(0.5j * delta * j0 * tau), np.exp(-0.5j * delta * j0 * tau)])
+    linear = np.array([[1.0 - 1j * az, 1j * ap], [1j * np.conj(ap), 1.0 + 1j * az]])
+    return frame @ mean_phase @ linear
+
+
+def _floquet_matrix(delta: float, zeta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Shirley's Floquet matrix and the harmonic index of each basis state.
+
+    The basis is (harmonic n, ground) and (harmonic n, excited) for
+    n = -n_harm..n_harm, interleaved.
+    """
+    n_harm = int(np.ceil(zeta)) + 40
+    n = np.arange(-n_harm, n_harm + 1, dtype=float)
+    h = np.diag(np.column_stack((n - 0.5 * delta, n + 0.5 * delta)).ravel())
+    # ground of harmonic n couples to excited of n + 1 and vice versa
+    ground = 2 * np.arange(n.size - 1)
+    for a, b in ((ground, ground + 3), (ground + 1, ground + 2)):
+        h[a, b] = h[b, a] = -0.25 * zeta
+    return h, np.repeat(np.arange(-n_harm, n_harm + 1), 2)
+
+
 def shirley_quasienergies(delta: float, zeta: float) -> tuple[float, float]:
     """Both quasienergies in (-1/2, 1/2] from Shirley's Floquet matrix.
 
@@ -134,15 +172,53 @@ def shirley_quasienergies(delta: float, zeta: float) -> tuple[float, float]:
     integrator; ceil(zeta) + 40 harmonics on each side truncate far past
     where J_n(zeta/2) is negligible.
     """
-    n_harm = int(np.ceil(zeta)) + 40
-    n = np.arange(-n_harm, n_harm + 1, dtype=float)
-    h = np.diag(np.column_stack((n - 0.5 * delta, n + 0.5 * delta)).ravel())
-    # ground of harmonic n couples to excited of n + 1 and vice versa
-    ground = 2 * np.arange(n.size - 1)
-    for a, b in ((ground, ground + 3), (ground + 1, ground + 2)):
-        h[a, b] = h[b, a] = -0.25 * zeta
+    h, _ = _floquet_matrix(delta, zeta)
     values = np.linalg.eigvalsh(h)
     inside = values[(values > -0.5) & (values <= 0.5)]
     if inside.size != 2:
         raise RuntimeError(f"{inside.size} Floquet-matrix eigenvalues in the zone")
     return float(inside[0]), float(inside[1])
+
+
+def shirley_line_intensities(
+    delta: float, zeta: float, k_max: int, dipole: float = 1.0
+) -> dict[tuple[int, int, int], float]:
+    """Line intensities |<<mode_i| dipole*sigma_x e^{i k tau} |mode_j>>|^2 from
+    the Fourier components of the Floquet-matrix eigenvectors.
+
+    An eigenvector c of the Floquet matrix with eigenvalue eps in (-1/2, 1/2]
+    is the periodic mode u(tau) = sum_n c_n e^{i n tau}, unit norm over the
+    period.  The matrix commutes with the generalized parity
+    c_{n,s} -> (-1)^(n+s) c_{n,s} (s = 0 ground, 1 excited), so the symmetric
+    mode 1 lives on the states with n + s even and the antisymmetric mode 2
+    on the rest; diagonalizing each block separately keeps the two modes
+    apart even where their quasienergies cross.  The period average then
+    reduces to a sum over harmonics:
+    <<u_i| sigma_x e^{i k tau} |u_j>> = sum_m conj(c^i_{m+k}) . sigma_x c^j_m.
+
+    Returns intensities for i, j in (1, 2) and |k| <= k_max, every parity
+    class included.
+    """
+    h, harmonic = _floquet_matrix(delta, zeta)
+    spin = np.arange(harmonic.size) % 2
+    n_harm = int(harmonic.max())
+    coeffs = []
+    for parity in (0, 1):
+        block = (harmonic + spin) % 2 == parity
+        values, vectors = np.linalg.eigh(h[np.ix_(block, block)])
+        inside = np.flatnonzero((values > -0.5) & (values <= 0.5))
+        if inside.size != 1:
+            raise RuntimeError(f"{inside.size} block eigenvalues in the zone")
+        full = np.zeros(harmonic.size, dtype=complex)
+        full[block] = vectors[:, inside[0]]
+        coeffs.append(full.reshape(-1, 2))  # row n + n_harm holds (ground, excited)
+    out = {}
+    for i in (1, 2):
+        for j in (1, 2):
+            ci, flipped = coeffs[i - 1], coeffs[j - 1][:, ::-1]  # sigma_x c^j
+            for k in range(-k_max, k_max + 1):
+                # pair c^i at harmonic m + k with sigma_x c^j at harmonic m
+                m = np.arange(max(0, -k), min(2 * n_harm + 1, 2 * n_harm + 1 - k))
+                element = np.sum(np.conj(ci[m + k]) * flipped[m])
+                out[(i, j, k)] = float(abs(dipole * element) ** 2)
+    return out

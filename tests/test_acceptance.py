@@ -25,10 +25,10 @@ from driventls import (
     line_intensity_analytic,
     match_modes,
     propagate,
-    propagation_diagnostics,
     series_cutoff,
     spectrum,
     tau_grid,
+    unitarity_defect,
 )
 from driventls.cli import RunConfig, cmd_sweep
 
@@ -123,7 +123,7 @@ def test_criterion_04_mode_fidelity():
     worst = 1.0
     for zeta in (math.pi / 5, math.pi / 2, math.pi):
         p = _params(DELTA, zeta)
-        match = match_modes(build_modes(p), analytic_modes(p))
+        match = match_modes(build_modes(p).modes, analytic_modes(p))
         worst = min(worst, min(match.overlaps))
     floor = 1.0 - 10 * DELTA**2
     _report(
@@ -138,7 +138,7 @@ def test_criterion_05_selection_rules_exact():
     worst = 0.0
     for zeta in (math.pi / 5, math.pi, 2.404826):
         p = _params(0.1, zeta)
-        lines = spectrum(p, 9, include_forbidden=True)
+        lines = spectrum(p, build_modes(p).modes, 9, include_forbidden=True)
         worst = max(
             worst, max(line.intensity_numeric for line in lines if line.forbidden)
         )
@@ -152,7 +152,7 @@ def test_criterion_05_selection_rules_exact():
 
 def test_criterion_06_line_intensities():
     p = _params(DELTA, math.pi)
-    lines = spectrum(p, 7)
+    lines = spectrum(p, build_modes(p).modes, 7)
     worst = 0.0
     worst_intra = 0.0
     for line in lines:
@@ -171,7 +171,7 @@ def test_criterion_06_line_intensities():
 
 def test_criterion_07_doublet_collapse():
     p = _params(DELTA, 2.404825558)
-    lines = spectrum(p, 3)
+    lines = spectrum(p, build_modes(p).modes, 3)
     single = line_intensity_analytic(p, 1, 2, 2)
     worst_spread = 0.0
     worst_rel = 0.0
@@ -191,7 +191,7 @@ def test_criterion_07_doublet_collapse():
 
 
 def test_criterion_08_weight_extremes():
-    mode1, _ = build_modes(_params(0.1, math.pi))
+    mode1, _ = build_modes(_params(0.1, math.pi)).modes
     weight = np.abs(mode1.samples[:, 0]) ** 2
     lo, hi = float(np.min(weight)), float(np.max(weight))
     _report(
@@ -204,13 +204,16 @@ def test_criterion_08_weight_extremes():
 
 def test_criterion_09_solver_integrity(quasienergy_sweep):
     worst_defect = 0.0
+    worst_estimate = 0.0
     worst_sum = max(
         abs(fold_quasienergy(row["eps1_exact"] + row["eps2_exact"]))
         for row in quasienergy_sweep["rows"]
     )
     for zeta in (1.0, 10.0, 40.0):
         p = _params(0.1, zeta)
-        worst_defect = max(worst_defect, propagation_diagnostics(p)["final_defect"])
+        solution = build_modes(p)
+        worst_defect = max(worst_defect, unitarity_defect(solution.monodromy))
+        worst_estimate = max(worst_estimate, solution.error_estimate)
         pair = exact_quasienergies(p)
         worst_sum = max(worst_sum, abs(fold_quasienergy(pair.eps1 + pair.eps2)))
 
@@ -229,9 +232,13 @@ def test_criterion_09_solver_integrity(quasienergy_sweep):
 
     _report(
         9,
-        worst_defect <= 1e-10 and min_ratio >= 8.0 and worst_sum <= 1e-9,
-        f"unitarity defect {worst_defect:.3e} per period up to zeta = 40 "
-        f"(tol 1e-10); step-halving error ratio {min_ratio:.2f} "
+        worst_defect <= 1e-10
+        and worst_estimate <= 1e-10
+        and min_ratio >= 8.0
+        and worst_sum <= 1e-9,
+        f"unitarity defect {worst_defect:.3e} and error estimate "
+        f"{worst_estimate:.3e} per period up to zeta = 40 (tol 1e-10); "
+        f"step-halving error ratio {min_ratio:.2f} "
         f"(need >= 8); |eps1 + eps2 mod 1| <= {worst_sum:.3e} everywhere "
         f"tested (tol 1e-9)",
     )

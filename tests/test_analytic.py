@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fd_derivative_periodic, xi_a_quadrature, xi_s_quadrature
+from oracles import (
+    evolution_linearized,
+    fd_derivative_periodic,
+    xi_a_quadrature,
+    xi_s_quadrature,
+)
 
 from driventls import (
     DomainError,
@@ -13,7 +18,6 @@ from driventls import (
     analytic_floquet_state,
     analytic_modes,
     analytic_quasienergies,
-    auxiliary_functions,
     bessel_j,
     beta_over_i,
     eta,
@@ -25,7 +29,6 @@ from driventls import (
     xi_a,
     xi_s,
 )
-from driventls.analytic import _evolution_linearized
 
 # frozen outputs of the quadrature oracle (tests/oracles.py), which builds
 # xi_s and xi_a from their derivative relations by Gauss-Legendre
@@ -128,22 +131,6 @@ def test_eta_full_period_value():
     p = _params(0.1, math.pi)
     expected = 1j * XI_A0_AT_PI * (1.0 - np.exp(-1j * 0.1 * J0_PI * 2.0 * math.pi))
     assert eta(p, 2.0 * math.pi) == pytest.approx(expected, abs=1e-10)
-
-
-def test_auxiliary_functions_bundle():
-    p = _params(0.1, math.pi)
-    tau = 1.3
-    aux = auxiliary_functions(p, tau)
-    assert aux.phi == phi(p, tau)
-    assert aux.xi_s == xi_s(p, tau)
-    assert aux.xi_a == xi_a(p, tau)
-    assert aux.alpha == alpha(p, tau)
-    assert aux.beta_over_i == beta_over_i(p, tau)
-    assert aux.eta == eta(p, tau)
-    assert aux.alpha + bessel_j(0, p.zeta) == pytest.approx(math.cos(2 * aux.phi), abs=1e-10)
-    assert aux.beta_over_i == pytest.approx(math.sin(2 * aux.phi), abs=1e-10)
-    with pytest.raises(DomainError):
-        auxiliary_functions(p, np.array([0.0, 1.0]))
 
 
 def test_tau_must_be_finite():
@@ -255,7 +242,7 @@ def test_evolution_accurate_mid_period():
 def test_linearized_evolution_close_to_exponential():
     p = _params(0.02, math.pi)
     tau = 2.0 * math.pi
-    lin = _evolution_linearized(p, tau)
+    lin = evolution_linearized(0.02, math.pi, tau)
     full = analytic_evolution(p, tau)
     # they differ at second order in the exponent
     assert np.max(np.abs(lin - full)) <= 1e-3

@@ -58,6 +58,15 @@ def test_bessel_against_series_oracle():
             ), f"J_{n}({x})"
 
 
+def test_bessel_against_series_oracle_large_argument():
+    # the ascending series reaches ~1e41 at x = 100, hence 80 digits
+    for n in (0, 1, 17, 45, 60, 99, 100, 101, 120, 137, 150):
+        for x in (55.0, 63.7, 77.0, 88.8, 100.0):
+            assert bessel_j(n, x) == pytest.approx(
+                j_power_series(n, x, dps=80), abs=1e-12
+            ), f"J_{n}({x})"
+
+
 def test_bessel_large_order_asymptotics():
     # n = 20 at x = 5 sits deep in the decay regime; the leading asymptotic
     # (e x / 2n)^n / sqrt(2 pi n) should agree in order of magnitude
@@ -98,7 +107,7 @@ def test_bessel_row_three_term_recurrence():
 
 
 def test_bessel_row_normalization_and_bound():
-    for x in (0.0, 0.5, 3.14159265, 11.0, 27.0, 40.0):
+    for x in (0.0, 0.5, 3.14159265, 11.0, 27.0, 40.0, 100.0):
         row = bessel_row(series_cutoff(x), x).values
         norm = row[0] ** 2 + 2.0 * np.sum(row[1:] ** 2)
         assert norm == pytest.approx(1.0, abs=1e-10)
@@ -115,11 +124,19 @@ def test_series_cutoff():
     assert series_cutoff(0.0) == 36
     assert series_cutoff(3.2) == 40
     assert series_cutoff(40.0) == 76
+    assert series_cutoff(100.0) == 147
+
+
+def test_series_cutoff_tail_against_oracle():
+    # the first dropped term bounds every truncated Bessel sum
+    for zeta in (0.0, 3.2, 20.0, 40.0, 47.0, 55.0, 70.0, 85.0, 99.5, 100.0):
+        tail = j_power_series(series_cutoff(zeta) + 1, zeta, dps=80)
+        assert abs(tail) < 1e-13, f"zeta = {zeta}"
 
 
 def test_jacobi_anger_identities():
     taus = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    for x in (0.0, 1.0, math.pi, 10.5, 25.0, 40.0):
+    for x in (0.0, 1.0, math.pi, 10.5, 25.0, 40.0, 100.0):
         row = bessel_row(series_cutoff(x), x).values
         ns = np.arange(row.size)
         even = ns[2::2]

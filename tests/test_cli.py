@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+import driventls.floquet
+import driventls.propagator
 from driventls import DomainError
 from driventls.cli import _f17, main, render
 
@@ -145,6 +147,30 @@ def test_validate_passes_in_regime(capsys):
     assert check["unitarity_drift"] <= 1e-10
 
 
+def test_validate_propagates_once_per_zeta(monkeypatch, capsys):
+    # every propagation runs through propagator._checked; modes, spectrum
+    # and the unitarity gate of one zeta must share a single propagate_grid
+    counts = {"grid": 0, "checked": 0}
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        driventls.floquet, "propagate_grid", counting("grid", driventls.floquet.propagate_grid)
+    )
+    monkeypatch.setattr(
+        driventls.propagator, "_checked", counting("checked", driventls.propagator._checked)
+    )
+    code, out, _ = _run(capsys, ["validate", "--zetas", "0.6", "3.1", "--grid", "64"])
+    assert code == 0
+    assert len(json.loads(out)["checks"]) == 2
+    assert counts == {"grid": 2, "checked": 2}
+
+
 def test_validate_always_json(capsys):
     code, out, _ = _run(
         capsys, ["validate", "--zetas", "3.141592653589793", "--grid", "128", "--format", "csv"]
@@ -177,6 +203,7 @@ def test_usage_errors_exit_2(capsys):
         ["sweep", "--zeta-min", "-1"],
         ["sweep", "--zeta-steps", "1"],
         ["spectrum", "--k-max", "0"],
+        ["spectrum", "--k-max", "32", "--grid", "64"],
         ["nonsense"],
         [],
     ):

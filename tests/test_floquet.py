@@ -17,7 +17,6 @@ from driventls import (
     classify_parity,
     exact_quasienergies,
     extract_floquet,
-    floquet_mode_at,
     fold_quasienergy,
     j0_zero,
     match_modes,
@@ -25,7 +24,6 @@ from driventls import (
     one_period_propagator,
     propagate,
     quasienergy_distance,
-    symmetry_classify,
     tau_grid,
 )
 
@@ -140,21 +138,32 @@ def test_mode_parity_sign_splits_free_modes():
 
 
 def test_floquet_mode_periodicity():
-    p = _params(0.1, 2.0)
-    pair, v1, _ = extract_floquet(one_period_propagator(p))
-    closed = floquet_mode_at(p, v1, pair.eps1, TWO_PI)
-    assert np.max(np.abs(closed - v1)) <= 1e-8
+    # carrying each mode once around the period, e^{2 pi i eps} U(2 pi, 0),
+    # returns its tau = 0 sample
+    solution = build_modes(_params(0.1, 2.0), n_grid=64)
+    for mode in solution.modes:
+        v = mode.samples[0]
+        closed = np.exp(1j * mode.quasienergy * TWO_PI) * (solution.monodromy @ v)
+        assert np.max(np.abs(closed - v)) <= 1e-8
 
 
 def test_floquet_mode_matches_analytic_interior():
     p = _params(0.1, math.pi / 2)
-    grid_modes = build_modes(p, n_grid=64)
-    pair = QuasienergyPair(grid_modes[0].quasienergy, grid_modes[1].quasienergy)
-    v1 = grid_modes[0].samples[0]
-    probe = floquet_mode_at(p, v1, pair.eps1, math.pi / 4)
+    mode1, _ = build_modes(p, n_grid=64).modes
+    probe = mode1.samples[8]  # tau = pi/4
     ref = analytic_floquet_state(p, 1, math.pi / 4)
     fidelity = abs(np.conj(probe) @ ref) ** 2
     assert fidelity >= 1.0 - 10 * 0.1**2
+
+
+def test_build_modes_solution():
+    p = _params(0.1, 2.0)
+    solution = build_modes(p, n_grid=64)
+    assert [m.label for m in solution.modes] == [1, 2]
+    # the one propagation's last grid point is the monodromy operator
+    assert np.max(np.abs(solution.monodromy - one_period_propagator(p))) <= 1e-13
+    assert not solution.monodromy.flags.writeable
+    assert 0.0 < solution.error_estimate <= 1e-10
 
 
 def test_classify_parity_basics():
@@ -166,7 +175,7 @@ def test_classify_parity_basics():
 
 def test_classify_parity_replica_flips():
     p = _params(0.1, math.pi)
-    m1, m2 = build_modes(p, n_grid=64)
+    m1, m2 = build_modes(p, n_grid=64).modes
     taus = tau_grid(64)
     replica = np.exp(1j * taus)[:, None] * m1.samples
     assert classify_parity(replica) == "antisymmetric"
@@ -176,7 +185,7 @@ def test_classify_parity_replica_flips():
 
 def test_classify_parity_rejects_mixture():
     p = _params(0.1, math.pi)
-    m1, m2 = build_modes(p, n_grid=64)
+    m1, m2 = build_modes(p, n_grid=64).modes
     blend = (m1.samples + m2.samples) / math.sqrt(2.0)
     with pytest.raises(ClassificationError):
         classify_parity(blend)
@@ -184,7 +193,7 @@ def test_classify_parity_rejects_mixture():
 
 def test_classify_parity_origin_invariance():
     p = _params(0.1, 2.4)
-    m1, m2 = build_modes(p, n_grid=64)
+    m1, m2 = build_modes(p, n_grid=64).modes
     for shift in (5, 16, 33):
         assert classify_parity(np.roll(m1.samples, shift, axis=0)) == "symmetric"
         assert classify_parity(np.roll(m2.samples, shift, axis=0)) == "antisymmetric"
@@ -197,7 +206,7 @@ def test_classify_parity_needs_even_grid():
 
 def test_build_modes_zero_drive():
     p = SystemParams(delta=0.1, rabi=0.0)
-    m1, m2 = build_modes(p, n_grid=64)
+    m1, m2 = build_modes(p, n_grid=64).modes
     assert m1.parity == "symmetric" and m2.parity == "antisymmetric"
     assert m1.source == "exact"
     assert m1.quasienergy == pytest.approx(-0.05, abs=1e-10)
@@ -208,20 +217,21 @@ def test_build_modes_zero_drive():
 
 def test_build_modes_norms_and_orthogonality():
     p = _params(0.1, math.pi)
-    m1, m2 = build_modes(p, n_grid=128)
+    m1, m2 = build_modes(p, n_grid=128).modes
     for m in (m1, m2):
         assert np.max(np.abs(np.linalg.norm(m.samples, axis=1) - 1.0)) <= 1e-9
     cross = np.abs(np.sum(np.conj(m1.samples) * m2.samples, axis=1))
     assert np.max(cross) <= 1e-8
-    assert symmetry_classify(m1) == "symmetric"
-    assert symmetry_classify(m2) == "antisymmetric"
+    # the sample-overlap rule agrees with the labels from the parity sign
+    assert classify_parity(m1.samples) == "symmetric"
+    assert classify_parity(m2.samples) == "antisymmetric"
 
 
 def test_build_modes_weight_curve():
     # ground-state weight of the symmetric mode follows cos^2 of the
     # accumulated pulse area at leading order
     p = _params(0.1, math.pi)
-    m1, _ = build_modes(p, n_grid=64)
+    m1, _ = build_modes(p, n_grid=64).modes
     taus = tau_grid(64)
     expected = np.cos(0.5 * math.pi * np.sin(taus)) ** 2
     got = np.abs(m1.samples[:, 0]) ** 2
@@ -230,7 +240,7 @@ def test_build_modes_weight_curve():
 
 def test_build_modes_at_crossing():
     p = _params(0.1, j0_zero(1))
-    m1, m2 = build_modes(p, n_grid=64)
+    m1, m2 = build_modes(p, n_grid=64).modes
     assert m1.parity != m2.parity
     assert abs(m1.quasienergy) <= 5 * 0.1**2
     assert abs(m2.quasienergy) <= 5 * 0.1**2
@@ -240,7 +250,7 @@ def test_build_modes_deep_degenerate_split():
     # tiny detuning at the crossing drives the monodromy spectrum into the
     # degenerate branch, which must still split the modes by symmetry
     p = _params(1e-5, j0_zero(1))
-    m1, m2 = build_modes(p, n_grid=64)
+    m1, m2 = build_modes(p, n_grid=64).modes
     assert m1.parity == "symmetric" and m2.parity == "antisymmetric"
     assert abs(m1.quasienergy) <= 1e-9
     assert abs(m2.quasienergy) <= 1e-9
@@ -273,7 +283,7 @@ def test_exact_quasienergies_sign_flip():
 def test_exact_quasienergies_match_build_modes():
     p = _params(0.05, 2.0)
     pair = exact_quasienergies(p)
-    m1, m2 = build_modes(p, n_grid=64)
+    m1, m2 = build_modes(p, n_grid=64).modes
     assert pair.eps1 == pytest.approx(m1.quasienergy, abs=1e-10)
     assert pair.eps2 == pytest.approx(m2.quasienergy, abs=1e-10)
 
@@ -285,7 +295,7 @@ def _constant_mode(label, vec, parity, eps=0.0, n=64):
 
 def test_match_modes_identity():
     p = SystemParams(delta=0.1, rabi=0.0)
-    exact = build_modes(p, n_grid=64)
+    exact = build_modes(p, n_grid=64).modes
     match = match_modes(exact, exact)
     assert match.pairs == ((1, 1), (2, 2))
     assert match.overlaps[0] == pytest.approx(1.0, abs=1e-12)
@@ -295,7 +305,7 @@ def test_match_modes_identity():
 
 def test_match_modes_exact_vs_analytic():
     p = _params(0.02, math.pi / 2)
-    match = match_modes(build_modes(p, n_grid=128), analytic_modes(p, n_grid=128))
+    match = match_modes(build_modes(p, n_grid=128).modes, analytic_modes(p, n_grid=128))
     assert match.pairs == ((1, 1), (2, 2))
     assert min(match.overlaps) >= 1.0 - 10 * 0.02**2
     assert match.min_pointwise_fidelity >= 1.0 - 10 * 0.02**2
@@ -304,7 +314,7 @@ def test_match_modes_exact_vs_analytic():
 
 def test_match_modes_at_crossing_is_deterministic():
     p = _params(0.02, j0_zero(1))
-    exact = build_modes(p, n_grid=128)
+    exact = build_modes(p, n_grid=128).modes
     analytic = analytic_modes(p, n_grid=128)
     match = match_modes(exact, analytic)
     assert match.pairs == ((1, 1), (2, 2))
@@ -314,7 +324,7 @@ def test_match_modes_at_crossing_is_deterministic():
 
 def test_match_modes_crossed_pairing():
     p = _params(0.1, math.pi)
-    m1, m2 = build_modes(p, n_grid=64)
+    m1, m2 = build_modes(p, n_grid=64).modes
     match = match_modes((m1, m2), (m2, m1))
     assert match.pairs == ((1, 1), (2, 2))
     assert match.resolved_by == "overlap"

@@ -14,7 +14,6 @@ from driventls import (
     one_period_propagator,
     propagate,
     propagate_grid,
-    propagation_diagnostics,
     quasienergy_distance,
     unitarity_defect,
 )
@@ -146,13 +145,14 @@ def test_accuracy_gate_checks_interior_grid_points():
 
 def test_accuracy_gate_passes_weak_drive_on_coarse_grid():
     cfg = PropagationConfig(steps_per_period=64)
-    grid = propagate_grid(_params(0.5, 0.5), cfg, n_grid=64)
+    grid, estimate = propagate_grid(_params(0.5, 0.5), cfg, n_grid=64)
     assert grid.shape == (65, 2, 2)
+    assert estimate <= 1e-7
 
 
 def test_propagate_grid_shape_and_anchor():
     p = _params(0.1, math.pi)
-    grid = propagate_grid(p, n_grid=128)
+    grid, _ = propagate_grid(p, n_grid=128)
     assert grid.shape == (129, 2, 2)
     assert np.array_equal(grid[0], np.eye(2, dtype=complex))
     # closure: last entry is the one-period propagator
@@ -162,7 +162,7 @@ def test_propagate_grid_shape_and_anchor():
 
 def test_propagate_grid_interior_point():
     p = _params(0.1, math.pi)
-    grid = propagate_grid(p, n_grid=8)
+    grid, _ = propagate_grid(p, n_grid=8)
     u_half = propagate(p, 0.0, math.pi)
     assert np.max(np.abs(grid[4] - u_half)) <= 1e-13
 
@@ -183,13 +183,11 @@ def test_bad_span():
 
 
 def test_diagnostics_keys_and_strong_drive():
-    p = _params(0.1, 40.0)
-    diag = propagation_diagnostics(p)
-    assert set(diag) == {"error_estimate", "final_defect"}
-    assert diag["error_estimate"] <= 1e-10
-    assert diag["final_defect"] <= 1e-12
+    grid, estimate = propagate_grid(_params(0.1, 40.0))
+    assert 0.0 < estimate <= 1e-10
+    assert unitarity_defect(grid[-1]) <= 1e-12
 
 
 def test_diagnostics_moderate_drive():
-    diag = propagation_diagnostics(_params(0.02, math.pi))
-    assert diag["error_estimate"] <= 1e-12
+    _, estimate = propagate_grid(_params(0.02, math.pi))
+    assert estimate <= 1e-12

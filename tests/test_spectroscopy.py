@@ -3,24 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from oracles import shirley_line_intensities
+
 from driventls import (
     DomainError,
     SystemParams,
     TransitionLine,
     analytic_quasienergies,
     build_modes,
-    dipole_matrix_element,
-    extended_inner,
     is_forbidden,
     j0_zero,
     line_class,
     line_intensity_analytic,
-    line_intensity_numeric,
     spectrum,
-    tau_grid,
-    transition_frequency,
 )
-from driventls.floquet import FloquetMode, QuasienergyPair
+from driventls.floquet import FloquetMode
 
 J0_PI = -0.30424217764409384
 J1_PI = 0.28461534317975273
@@ -31,39 +28,23 @@ def _params(delta, zeta, dipole=1.0):
     return SystemParams.from_zeta(delta=delta, zeta=zeta, dipole=dipole)
 
 
+def _modes(params, n_grid=128):
+    return build_modes(params, n_grid=n_grid).modes
+
+
 def _constant_mode(label, vec, parity="symmetric", eps=0.0, n=64):
     samples = np.tile(np.asarray(vec, dtype=complex), (n, 1))
     return FloquetMode(label, eps, samples, parity, "exact")
 
 
-def test_extended_inner_unit_norm():
-    f = np.tile([1.0 + 0j, 0.0j], (64, 1))
-    assert extended_inner(f, f) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_extended_inner_fourier_orthogonality():
-    taus = tau_grid(64)
-    f = np.zeros((64, 2), dtype=complex)
-    f[:, 0] = np.exp(1j * taus)
-    g = np.tile([1.0 + 0j, 0.0j], (64, 1))
-    # distinct replica indices average to zero exactly (roots of unity sum)
-    assert abs(extended_inner(g, f)) <= 1e-14
-    assert abs(extended_inner(f, f) - 1.0) <= 1e-14
+def _intensities(lines):
+    return {(line.i, line.j, line.k): line.intensity_numeric for line in lines}
 
 
 def test_extended_inner_exact_modes_orthogonal():
-    m1, m2 = build_modes(_params(0.1, math.pi / 2), n_grid=128)
-    assert abs(extended_inner(m1.samples, m2.samples)) <= 1e-8
-
-
-def test_extended_inner_validation():
-    ok = np.ones((64, 2), dtype=complex)
-    with pytest.raises(DomainError):
-        extended_inner(ok, np.ones((128, 2), dtype=complex))
-    with pytest.raises(DomainError):
-        extended_inner(np.ones((32, 2), dtype=complex), np.ones((32, 2), dtype=complex))
-    with pytest.raises(DomainError):
-        extended_inner(np.ones((64, 3), dtype=complex), np.ones((64, 3), dtype=complex))
+    m1, m2 = _modes(_params(0.1, math.pi / 2))
+    # period-averaged inner product of the two exact modes
+    assert abs(np.mean(np.sum(np.conj(m1.samples) * m2.samples, axis=1))) <= 1e-8
 
 
 def test_selection_rule_truth_table():
@@ -97,13 +78,19 @@ def test_label_and_offset_validation():
 
 
 def test_dipole_matrix_element_constant_modes():
+    # bare states as constant modes: only the k = 0 cross-mode lines carry
+    # the full dipole strength; every replica offset averages to zero
+    # exactly (roots of unity sum)
     ground = _constant_mode(1, [1.0, 0.0])
     excited = _constant_mode(2, [0.0, 1.0], parity="antisymmetric")
-    assert dipole_matrix_element(ground, excited, 0, 2.0) == pytest.approx(2.0, abs=1e-14)
-    assert dipole_matrix_element(ground, ground, 0, 1.0) == pytest.approx(0.0, abs=1e-14)
-    assert abs(dipole_matrix_element(ground, excited, 3, 1.0)) <= 1e-14
+    p = _params(0.1, math.pi, dipole=2.0)
+    table = _intensities(spectrum(p, (ground, excited), 3, include_forbidden=True))
+    assert len(table) == 28
+    for (i, j, k), value in table.items():
+        expected = 4.0 if i != j and k == 0 else 0.0
+        assert value == pytest.approx(expected, abs=1e-14), (i, j, k)
     with pytest.raises(DomainError):
-        dipole_matrix_element(ground, _constant_mode(2, [0.0, 1.0], n=128), 0, 1.0)
+        spectrum(p, (ground, _constant_mode(2, [0.0, 1.0], n=128)), 3)
 
 
 def test_analytic_intensities():
@@ -127,57 +114,66 @@ def test_analytic_intensity_dipole_scaling():
 
 
 def test_numeric_intensity_scales_with_dipole():
-    base = line_intensity_numeric(_params(0.1, 2.0), 1, 2, 0, n_grid=64)
-    scaled = line_intensity_numeric(_params(0.1, 2.0, dipole=3.0), 1, 2, 0, n_grid=64)
-    assert scaled == pytest.approx(9.0 * base, rel=1e-10)
+    base = _intensities(spectrum(_params(0.1, 2.0), _modes(_params(0.1, 2.0), 64), 2))
+    p3 = _params(0.1, 2.0, dipole=3.0)
+    scaled = _intensities(spectrum(p3, _modes(p3, 64), 2))
+    assert scaled.keys() == base.keys()
+    for key, value in base.items():
+        assert scaled[key] == pytest.approx(9.0 * value, rel=1e-10)
 
 
 def test_numeric_matches_analytic_weak_detuning():
     p = _params(0.02, math.pi)
+    table = _intensities(spectrum(p, _modes(p), 3))
     for i, j, k in ((1, 2, 0), (1, 1, 1), (2, 2, 1), (1, 2, 2), (1, 1, 3)):
-        numeric = line_intensity_numeric(p, i, j, k, n_grid=128)
-        target = line_intensity_analytic(p, i, j, k)
-        assert numeric == pytest.approx(target, rel=0.2)
+        assert table[(i, j, k)] == pytest.approx(line_intensity_analytic(p, i, j, k), rel=0.2)
 
 
 def test_transition_frequency_same_mode_is_integer():
-    p = _params(0.1, math.pi)
-    pair = analytic_quasienergies(p)
-    assert transition_frequency(p, 1, 1, 3, pair) == 3.0
-    assert transition_frequency(p, 2, 2, -1, pair) == 1.0
+    lines = spectrum(_params(0.1, math.pi), _modes(_params(0.1, math.pi)), 3)
+    same = [line for line in lines if line.i == line.j]
+    assert len(same) == 8
+    for line in same:
+        assert line.frequency == abs(line.k)
+        assert line.direction == (1 if line.k > 0 else -1)
 
 
 def test_transition_frequency_cross_mode():
     p = _params(0.1, math.pi)
-    pair = analytic_quasienergies(p)
-    assert transition_frequency(p, 1, 2, 0, pair) == pytest.approx(
-        0.1 * abs(J0_PI), abs=1e-12
-    )
-    with pytest.raises(DomainError):
-        transition_frequency(p, 1, 2, 0.5, pair)
+    lines = spectrum(p, _modes(p), 2)
+    k0 = {(line.i, line.j): line for line in lines if line.k == 0}
+    assert set(k0) == {(1, 2), (2, 1)}
+    for line in k0.values():
+        assert line.frequency == pytest.approx(0.1 * abs(J0_PI), abs=1e-12)
+    # J0(pi) < 0 puts mode 1 above mode 2: eps_2 - eps_1 = 0.1 * J0 < 0
+    assert k0[(1, 2)].direction == -1
+    assert k0[(2, 1)].direction == 1
 
 
 def test_transition_frequency_uses_given_pair():
+    # positions come from the first-order quasienergy pair, not the modes
     p = _params(0.1, math.pi)
-    pair = QuasienergyPair(-0.2, 0.1)
-    assert transition_frequency(p, 1, 2, 1, pair) == pytest.approx(1.3, abs=1e-15)
-    assert transition_frequency(p, 2, 1, 1, pair) == pytest.approx(0.7, abs=1e-15)
+    pair = analytic_quasienergies(p)
+    for line in spectrum(p, _modes(p), 3):
+        signed = pair.for_label(line.j) - pair.for_label(line.i) + line.k
+        assert line.frequency == abs(signed)
+        assert line.direction == (signed > 0) - (signed < 0)
 
 
 def test_spectrum_row_counts_and_sorting():
     p = _params(0.1, 2.0)
-    lines = spectrum(p, 3, n_grid=128)
+    lines = spectrum(p, _modes(p), 3)
     assert len(lines) == 14
     freqs = [line.frequency for line in lines]
     assert freqs == sorted(freqs)
     assert all(not line.forbidden for line in lines)
-    full = spectrum(p, 3, n_grid=128, include_forbidden=True)
+    full = spectrum(p, _modes(p), 3, include_forbidden=True)
     assert len(full) == 28
     assert sum(line.forbidden for line in full) == 14
 
 
 def test_spectrum_classes_and_intensity_property():
-    lines = spectrum(_params(0.1, 2.0), 2, n_grid=128)
+    lines = spectrum(_params(0.1, 2.0), _modes(_params(0.1, 2.0)), 2)
     for line in lines:
         assert isinstance(line, TransitionLine)
         assert line.line_class == line_class(line.i, line.j, line.k)
@@ -187,7 +183,7 @@ def test_spectrum_classes_and_intensity_property():
 
 
 def test_spectrum_hermiticity():
-    lines = spectrum(_params(0.1, math.pi), 3, n_grid=128)
+    lines = spectrum(_params(0.1, math.pi), _modes(_params(0.1, math.pi)), 3)
     table = {(line.i, line.j, line.k): line.intensity_numeric for line in lines}
     for (i, j, k), value in table.items():
         assert table[(j, i, -k)] == pytest.approx(value, abs=1e-12)
@@ -195,7 +191,7 @@ def test_spectrum_hermiticity():
 
 def test_spectrum_doublet_collapse_at_crossing():
     p = _params(0.02, j0_zero(1))
-    lines = spectrum(p, 3, n_grid=128)
+    lines = spectrum(p, _modes(p), 3)
     for line in lines:
         assert abs(line.frequency - round(line.frequency)) <= 1e-9
     cross_k2 = [line for line in lines if line.i != line.j and line.k in (2, -2)]
@@ -205,7 +201,8 @@ def test_spectrum_doublet_collapse_at_crossing():
 
 
 def test_spectrum_forbidden_leakage_small():
-    lines = spectrum(_params(0.1, math.pi), 5, n_grid=128, include_forbidden=True)
+    p = _params(0.1, math.pi)
+    lines = spectrum(p, _modes(p), 5, include_forbidden=True)
     worst = max(line.intensity_numeric for line in lines if line.forbidden)
     assert worst <= 1e-10
 
@@ -215,9 +212,10 @@ def test_spectrum_sum_rule_per_final_mode():
     # strength; the truncated total grows monotonically toward it
     p = _params(0.1, math.pi)
     mu2 = p.dipole**2
+    modes = _modes(p)
     totals = []
     for k_max in (3, 5, 7, 9):
-        lines = spectrum(p, k_max, n_grid=128)
+        lines = spectrum(p, modes, k_max)
         for i in (1, 2):
             total = sum(line.intensity_numeric for line in lines if line.i == i)
             assert abs(total - mu2) <= 0.1 * mu2
@@ -227,7 +225,24 @@ def test_spectrum_sum_rule_per_final_mode():
 
 def test_spectrum_validation():
     p = _params(0.1, 1.0)
+    modes = _modes(p, 64)
     with pytest.raises(DomainError):
-        spectrum(p, 0)
+        spectrum(p, modes, 0)
     with pytest.raises(DomainError):
-        spectrum(p, 2.5)
+        spectrum(p, modes, 2.5)
+    # 64 samples cannot tell k = 32 from k = -32
+    spectrum(p, modes, 31)
+    with pytest.raises(DomainError):
+        spectrum(p, modes, 32)
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.5])
+@pytest.mark.parametrize("zeta", [0.6, j0_zero(1), 10.0, 40.0])
+def test_intensities_match_shirley(zeta, delta):
+    p = _params(delta, zeta)
+    reference = shirley_line_intensities(delta, zeta, 5)
+    lines = spectrum(p, build_modes(p).modes, 5)
+    assert len(lines) == 22
+    for line in lines:
+        expected = reference[(line.i, line.j, line.k)]
+        assert line.intensity_numeric == pytest.approx(expected, rel=1e-8), (line.i, line.j, line.k)
