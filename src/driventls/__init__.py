@@ -48,10 +48,8 @@ from .floquet import (
     build_modes,
     classify_parity,
     exact_quasienergies,
-    extract_floquet,
     fold_quasienergy,
     match_modes,
-    mode_parity_sign,
     quasienergy_distance,
 )
 from .propagator import (
@@ -104,7 +102,6 @@ __all__ = [
     "classify_parity",
     "eta",
     "exact_quasienergies",
-    "extract_floquet",
     "fold_quasienergy",
     "hamiltonian_at",
     "is_forbidden",
@@ -112,7 +109,6 @@ __all__ = [
     "line_class",
     "line_intensity_analytic",
     "match_modes",
-    "mode_parity_sign",
     "one_period_propagator",
     "pauli_combination",
     "phi",

@@ -1,13 +1,13 @@
-"""Floquet analysis of the one-period propagator.
+"""Floquet analysis of the numerically exact propagator.
 
-Quasienergies and periodic mode functions are extracted from the numerically
-exact monodromy operator.  The drive Hamiltonian satisfies an exact
-generalized-parity symmetry: conjugating by diag(1, -1) and shifting the
-phase by half a period leaves it invariant.  Every Floquet mode is therefore
-either symmetric or antisymmetric under that operation, and the symmetric
-one is labeled mode 1.  This labeling never becomes ambiguous at avoided
-crossings, unlike any labeling based on quasienergy ordering or on which
-bare state dominates.
+The drive Hamiltonian satisfies an exact generalized-parity symmetry:
+conjugating by P = diag(1, -1) and shifting the phase by half a period
+leaves it invariant, so the monodromy operator is the square of the
+symmetry operator P U(pi, 0).  Quasienergies, tau = 0 mode vectors and
+parity labels all come from one eigensolve of that operator.  Every Floquet
+mode is symmetric or antisymmetric, and the symmetric one is labeled
+mode 1.  This labeling never becomes ambiguous at crossings, unlike any
+labeling based on quasienergy ordering or on which bare state dominates.
 """
 
 from __future__ import annotations
@@ -17,15 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ClassificationError,
-    DomainError,
-    tau_grid,
-    unitarity_defect,
-)
-from .propagator import PropagationConfig, propagate_grid
-
-TWO_PI = 2.0 * math.pi
+from .core import ClassificationError, DomainError, tau_grid
+from .propagator import PropagationConfig, propagate, propagate_grid
 
 # generalized-parity matrix: swaps nothing, flips the excited amplitude
 PARITY = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -34,9 +27,8 @@ PARITY.setflags(write=False)
 # |parity overlap| below this is neither clearly symmetric nor antisymmetric
 _PARITY_MARGIN = 0.9
 
-# quasienergy splittings below this are resolved via the symmetry operator
-# rather than the (ill-conditioned) eigenvectors of the monodromy operator
-_DEGENERACY_GAP = 1e-7
+# symmetry-operator splittings below this put both modes on the zone boundary
+_BOUNDARY_GAP = 1e-7
 
 
 def fold_quasienergy(value: float) -> float:
@@ -128,101 +120,35 @@ def classify_parity(samples: np.ndarray) -> str:
     return "symmetric" if s.real > 0.0 else "antisymmetric"
 
 
-def mode_parity_sign(eigvec: np.ndarray, quasienergy: float, half_period: np.ndarray) -> float:
-    """Expectation of the symmetry operator in a monodromy eigenvector.
-
-    The operator exp(i*pi*eps) P U(pi, 0) squares to the monodromy operator
-    on the eigenspace of quasienergy eps, so this is close to +1 for the
-    symmetric mode and -1 for the antisymmetric one.
-    """
-    op = np.exp(1j * math.pi * quasienergy) * (PARITY @ np.asarray(half_period, dtype=complex))
-    return float(np.real(np.conj(eigvec) @ (op @ eigvec)))
-
-
 def _fix_phase(v: np.ndarray) -> np.ndarray:
     # largest component made real positive; ties broken toward the first
     idx = 0 if abs(v[0]) >= abs(v[1]) else 1
     return v * (v[idx].conjugate() / abs(v[idx]))
 
 
-def _rayleigh_quasienergy(u: np.ndarray, v: np.ndarray) -> float:
-    lam = complex(np.conj(v) @ (u @ v))
-    return fold_quasienergy(-np.angle(lam) / TWO_PI)
+def _split(half: np.ndarray) -> tuple[QuasienergyPair, np.ndarray, np.ndarray]:
+    """Quasienergies and tau = 0 vectors of both modes from U(pi, 0).
 
-
-def extract_floquet(
-    u_period: np.ndarray, symmetry_half: np.ndarray | None = None
-) -> tuple[QuasienergyPair, np.ndarray, np.ndarray]:
-    """Quasienergies and tau = 0 mode vectors from the monodromy operator.
-
-    Arguments:
-        u_period: one-period propagator, 2x2 unitary.
-        symmetry_half: optional half-period propagator U(pi, 0).  Required
-            to split a (near-)degenerate monodromy spectrum by symmetry; if
-            omitted there, the bare parity matrix is used, which is exact
-            only when the degenerate propagator is proportional to the
-            identity.
-
-    Returns:
-        (QuasienergyPair, vec1, vec2): orthonormal eigenvectors at tau = 0
-        with the phase convention that the largest component is real
-        positive.  Mode 1 is the vector with the larger ground-state weight
-        |v[0]|^2 (lower quasienergy on a tie).
+    Q = P U(pi, 0) squares to the monodromy operator, so its eigenvectors are
+    the modes at tau = 0.  Q is unitary with det Q = -1, so its eigenvalues
+    are q and -conj(q), and its Hermitian part has the same eigenvectors
+    with eigenvalues +-Re q.  The positive one is the symmetric mode 1,
+    with P u(pi) = u(0); mode 2 has P u(pi) = -u(0).  Either way
+    (v^dagger Q v)^2 = exp(-2 pi i eps), and eps = -arg(v^dagger Q v)/pi
+    folded into the first zone.  The two eigenvalues stay apart through
+    every crossing and meet only on the zone boundary eps = 1/2, where
+    neither mode has a definite parity.
     """
-    u = np.asarray(u_period, dtype=complex)
-    if u.shape != (2, 2):
-        raise DomainError(f"u_period must be 2x2, got shape {u.shape}")
-    defect = unitarity_defect(u)
-    if defect > 1e-8:
-        raise DomainError(f"u_period is not unitary (defect {defect:.3e})")
-
-    evals, evecs = np.linalg.eig(u)
-    eps_a = fold_quasienergy(-np.angle(evals[0]) / TWO_PI)
-    eps_b = fold_quasienergy(-np.angle(evals[1]) / TWO_PI)
-
-    if quasienergy_distance(eps_a, eps_b) < _DEGENERACY_GAP:
-        # eigenvectors of a near-degenerate unitary are arbitrary mixtures;
-        # the symmetry operator splits the doublet exactly
-        mean_eps = fold_quasienergy(-np.angle(evals[0] + evals[1]) / TWO_PI)
-        half = PARITY if symmetry_half is None else PARITY @ np.asarray(symmetry_half, complex)
-        op = np.exp(1j * math.pi * mean_eps) * half
-        herm = 0.5 * (op + op.conj().T)
-        _, basis = np.linalg.eigh(herm)
-        va, vb = basis[:, 1], basis[:, 0]
-    else:
-        va, vb = evecs[:, 0], evecs[:, 1]
-
-    va = va / np.linalg.norm(va)
-    vb = vb - (np.conj(va) @ vb) * va
-    vb = vb / np.linalg.norm(vb)
-    ea = _rayleigh_quasienergy(u, va)
-    eb = _rayleigh_quasienergy(u, vb)
-    va, vb = _fix_phase(va), _fix_phase(vb)
-
-    wa, wb = abs(va[0]) ** 2, abs(vb[0]) ** 2
-    if abs(wa - wb) <= 1e-12:
-        first = ea <= eb
-    else:
-        first = wa > wb
-    if first:
-        return QuasienergyPair(ea, eb), va, vb
-    return QuasienergyPair(eb, ea), vb, va
-
-
-def _labelled(
-    monodromy: np.ndarray, half: np.ndarray
-) -> tuple[QuasienergyPair, np.ndarray, np.ndarray]:
-    """extract_floquet with the symmetric mode first, by mode_parity_sign."""
-    pair, v1, v2 = extract_floquet(monodromy, symmetry_half=half)
-    s1 = mode_parity_sign(v1, pair.eps1, half)
-    s2 = mode_parity_sign(v2, pair.eps2, half)
-    if s1 * s2 >= 0.0:
+    q = PARITY @ half
+    values, vectors = np.linalg.eigh(0.5 * (q + q.conj().T))
+    if values[1] - values[0] < _BOUNDARY_GAP:
         raise ClassificationError(
-            f"parity signs {s1:.3f}, {s2:.3f} do not split the modes"
+            "both modes sit on the zone boundary eps = 1/2, where parity does "
+            f"not split them (symmetry eigenvalues {values[0]:.3e}, {values[1]:.3e})"
         )
-    if s1 > 0.0:
-        return pair, v1, v2
-    return QuasienergyPair(pair.eps2, pair.eps1), v2, v1
+    v1, v2 = vectors[:, 1], vectors[:, 0]
+    eps = (fold_quasienergy(-np.angle(np.conj(v) @ q @ v) / math.pi) for v in (v1, v2))
+    return QuasienergyPair(*eps), _fix_phase(v1), _fix_phase(v2)
 
 
 def _mode_samples(grid: np.ndarray, eigvec: np.ndarray, quasienergy: float) -> np.ndarray:
@@ -237,7 +163,7 @@ class FloquetSolution:
     """Everything one propagation over a period yields at a parameter point.
 
     modes is (mode1, mode2) with mode 1 symmetric; monodromy is the
-    one-period propagator U(2*pi, 0) the modes were extracted from;
+    one-period propagator U(2*pi, 0) of the same propagation;
     error_estimate is the step-halving error estimate over every grid point.
     """
 
@@ -281,7 +207,7 @@ def build_modes(
             f"got {n_grid!r}"
         )
     grid, estimate = propagate_grid(params, config, n_grid)
-    pair, v1, v2 = _labelled(grid[n_grid], grid[n_grid // 2])
+    pair, v1, v2 = _split(grid[n_grid // 2])
     modes = (
         FloquetMode(1, pair.eps1, _mode_samples(grid, v1, pair.eps1), "symmetric", "exact"),
         FloquetMode(2, pair.eps2, _mode_samples(grid, v2, pair.eps2), "antisymmetric", "exact"),
@@ -290,14 +216,12 @@ def build_modes(
 
 
 def exact_quasienergies(params, config: PropagationConfig | None = None) -> QuasienergyPair:
-    """Symmetry-labeled quasienergies from the monodromy operator alone.
+    """Symmetry-labeled quasienergies from the half-period propagator alone.
 
     Cheaper than build_modes when the mode functions are not needed; eps1
     belongs to the symmetric mode.
     """
-    grid, _ = propagate_grid(params, config, n_grid=2)
-    pair, _, _ = _labelled(grid[2], grid[1])
-    return pair
+    return _split(propagate(params, 0.0, math.pi, config))[0]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import analytic_quasienergies
-from .bessel import bessel_j
+from .bessel import bessel_row
 from .core import SIGMA_X, DomainError, SystemParams, tau_grid
 from .floquet import FloquetMode
 
@@ -80,6 +80,18 @@ def line_class(i: int, j: int, k: int) -> str:
     return "intra_manifold" if k == 0 else "hyper_raman"
 
 
+def _first_order_intensity(
+    params: SystemParams, i: int, j: int, k: int, row: np.ndarray
+) -> float:
+    """line_intensity_analytic with J_|k|(zeta) read from a Bessel row."""
+    if is_forbidden(i, j, k):
+        return 0.0
+    mu2 = params.dipole**2
+    if k == 0:
+        return mu2
+    return mu2 * (params.delta * row[abs(k)] / k) ** 2
+
+
 def line_intensity_analytic(params: SystemParams, i: int, j: int, k: int) -> float:
     """Closed-form first-order line intensity in units of dipole**2.
 
@@ -87,13 +99,8 @@ def line_intensity_analytic(params: SystemParams, i: int, j: int, k: int) -> flo
     allowed line is weaker by (delta * J_|k|(zeta) / k)**2; forbidden
     combinations return exactly 0.
     """
-    if is_forbidden(i, j, k):
-        return 0.0
-    mu2 = params.dipole**2
-    if k == 0:
-        return mu2
-    jk = bessel_j(abs(k), params.zeta)
-    return mu2 * (params.delta * jk / k) ** 2
+    _check_offset(k)
+    return _first_order_intensity(params, i, j, k, bessel_row(abs(k), params.zeta).values)
 
 
 def spectrum(
@@ -127,6 +134,7 @@ def spectrum(
     if k_max >= n // 2:
         raise DomainError(f"k_max must be below n_samples/2 = {n // 2}, got {k_max}")
     pair = analytic_quasienergies(params)
+    row = bessel_row(k_max, params.zeta).values
     by_label = {m.label: m for m in modes}
     ks = np.arange(-k_max, k_max + 1)
     phases = np.exp(1j * np.multiply.outer(tau_grid(n), ks))
@@ -149,7 +157,7 @@ def spectrum(
                         k=k,
                         frequency=abs(signed),
                         intensity_numeric=intensity,
-                        intensity_analytic=line_intensity_analytic(params, i, j, k),
+                        intensity_analytic=_first_order_intensity(params, i, j, k, row),
                         line_class=line_class(i, j, k),
                         forbidden=forbidden,
                         direction=(signed > 0) - (signed < 0),

@@ -180,11 +180,8 @@ def shirley_quasienergies(delta: float, zeta: float) -> tuple[float, float]:
     return float(inside[0]), float(inside[1])
 
 
-def shirley_line_intensities(
-    delta: float, zeta: float, k_max: int, dipole: float = 1.0
-) -> dict[tuple[int, int, int], float]:
-    """Line intensities |<<mode_i| dipole*sigma_x e^{i k tau} |mode_j>>|^2 from
-    the Fourier components of the Floquet-matrix eigenvectors.
+def _parity_block_modes(delta: float, zeta: float) -> tuple[list[np.ndarray], int]:
+    """Harmonic coefficients of mode 1 and mode 2 from the parity blocks.
 
     An eigenvector c of the Floquet matrix with eigenvalue eps in (-1/2, 1/2]
     is the periodic mode u(tau) = sum_n c_n e^{i n tau}, unit norm over the
@@ -192,16 +189,11 @@ def shirley_line_intensities(
     c_{n,s} -> (-1)^(n+s) c_{n,s} (s = 0 ground, 1 excited), so the symmetric
     mode 1 lives on the states with n + s even and the antisymmetric mode 2
     on the rest; diagonalizing each block separately keeps the two modes
-    apart even where their quasienergies cross.  The period average then
-    reduces to a sum over harmonics:
-    <<u_i| sigma_x e^{i k tau} |u_j>> = sum_m conj(c^i_{m+k}) . sigma_x c^j_m.
-
-    Returns intensities for i, j in (1, 2) and |k| <= k_max, every parity
-    class included.
+    apart even where their quasienergies cross.  Row n + n_harm of each
+    returned array holds (ground, excited) of harmonic n.
     """
     h, harmonic = _floquet_matrix(delta, zeta)
     spin = np.arange(harmonic.size) % 2
-    n_harm = int(harmonic.max())
     coeffs = []
     for parity in (0, 1):
         block = (harmonic + spin) % 2 == parity
@@ -211,7 +203,36 @@ def shirley_line_intensities(
             raise RuntimeError(f"{inside.size} block eigenvalues in the zone")
         full = np.zeros(harmonic.size, dtype=complex)
         full[block] = vectors[:, inside[0]]
-        coeffs.append(full.reshape(-1, 2))  # row n + n_harm holds (ground, excited)
+        coeffs.append(full.reshape(-1, 2))
+    return coeffs, int(harmonic.max())
+
+
+def shirley_modes(delta: float, zeta: float, taus) -> np.ndarray:
+    """Mode 1 (symmetric) and mode 2 (antisymmetric) sampled at the phases taus.
+
+    Sums the harmonics of the parity-block eigenvectors of Shirley's Floquet
+    matrix, u(tau) = sum_n c_n e^{i n tau}.  Returns an array of shape
+    (2, len(taus), 2); the overall phase of each mode is arbitrary.
+    """
+    coeffs, n_harm = _parity_block_modes(delta, zeta)
+    harmonics = np.arange(-n_harm, n_harm + 1)
+    waves = np.exp(1j * np.multiply.outer(np.asarray(taus, dtype=float), harmonics))
+    return np.stack([waves @ c for c in coeffs])
+
+
+def shirley_line_intensities(
+    delta: float, zeta: float, k_max: int, dipole: float = 1.0
+) -> dict[tuple[int, int, int], float]:
+    """Line intensities |<<mode_i| dipole*sigma_x e^{i k tau} |mode_j>>|^2 from
+    the Fourier components of the parity-block eigenvectors.
+
+    The period average reduces to a sum over harmonics:
+    <<u_i| sigma_x e^{i k tau} |u_j>> = sum_m conj(c^i_{m+k}) . sigma_x c^j_m.
+
+    Returns intensities for i, j in (1, 2) and |k| <= k_max, every parity
+    class included.
+    """
+    coeffs, n_harm = _parity_block_modes(delta, zeta)
     out = {}
     for i in (1, 2):
         for j in (1, 2):

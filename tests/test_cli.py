@@ -222,6 +222,15 @@ def test_runtime_error_exits_3(capsys):
     assert "error:" in err
 
 
+def test_zone_boundary_exits_3(capsys):
+    # the sweep starts at zeta = 0, where delta = 1 folds both modes onto
+    # eps = 1/2 and parity cannot tell them apart
+    code, out, err = _run(capsys, ["sweep", "--delta", "1"])
+    assert code == 3
+    assert out == ""
+    assert "zone boundary" in err
+
+
 def test_unwritable_output_exits_3(capsys):
     code, _, err = _run(
         capsys,

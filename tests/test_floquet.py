@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import shirley_modes, shirley_quasienergies
 
+import driventls.floquet
 from driventls import (
     ClassificationError,
     DomainError,
@@ -12,17 +14,13 @@ from driventls import (
     SystemParams,
     analytic_floquet_state,
     analytic_modes,
-    bessel_j,
     build_modes,
     classify_parity,
     exact_quasienergies,
-    extract_floquet,
     fold_quasienergy,
     j0_zero,
     match_modes,
-    mode_parity_sign,
     one_period_propagator,
-    propagate,
     quasienergy_distance,
     tau_grid,
 )
@@ -83,33 +81,38 @@ def test_mode_validation_and_immutability():
         FloquetMode(1, 0.0, np.zeros(4, dtype=complex), "symmetric", "exact")
 
 
-def test_extract_identity_monodromy():
-    pair, v1, v2 = extract_floquet(np.eye(2, dtype=complex))
-    assert pair.eps1 == 0.0 and pair.eps2 == 0.0
-    assert np.allclose(v1, [1.0, 0.0], atol=1e-14)
-    assert np.allclose(v2, [0.0, 1.0], atol=1e-14)
+def test_modes_without_detuning():
+    # delta = 0: the monodromy operator is the identity, both quasienergies
+    # vanish and the bare states at tau = 0 carry the two parities
+    p = _params(0.0, 2.0)
+    pair = exact_quasienergies(p)
+    assert abs(pair.eps1) <= 1e-14 and abs(pair.eps2) <= 1e-14
+    m1, m2 = build_modes(p, n_grid=64).modes
+    assert abs(m1.quasienergy) <= 1e-14 and abs(m2.quasienergy) <= 1e-14
+    assert np.allclose(m1.samples[0], [1.0, 0.0], atol=1e-14)
+    assert np.allclose(m2.samples[0], [0.0, 1.0], atol=1e-14)
+    # mode 1 follows the exact rotation exp(i rabi sin(tau) sigma_x)
+    angle = p.rabi * np.sin(tau_grid(64))
+    rotated = np.column_stack((np.cos(angle), 1j * np.sin(angle)))
+    assert np.max(np.abs(m1.samples - rotated)) <= 1e-12
 
 
-def test_extract_diagonal_monodromy():
+def test_modes_without_drive():
+    # zeta = 0: the monodromy operator diag(e^{i theta}, e^{-i theta}) has
+    # the bare states as modes
     theta = 0.1
-    u = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
-    pair, v1, v2 = extract_floquet(u)
+    p = SystemParams(delta=theta / math.pi, rabi=0.0)
+    pair = exact_quasienergies(p)
     assert pair.eps1 == pytest.approx(-theta / TWO_PI, abs=1e-14)
     assert pair.eps2 == pytest.approx(theta / TWO_PI, abs=1e-14)
-    assert np.allclose(v1, [1.0, 0.0], atol=1e-14)
-    assert np.allclose(v2, [0.0, 1.0], atol=1e-14)
+    m1, m2 = build_modes(p, n_grid=64).modes
+    assert np.allclose(m1.samples[0], [1.0, 0.0], atol=1e-14)
+    assert np.allclose(m2.samples[0], [0.0, 1.0], atol=1e-14)
 
 
-def test_extract_rejects_bad_input():
-    with pytest.raises(DomainError):
-        extract_floquet(np.eye(3, dtype=complex))
-    with pytest.raises(DomainError):
-        extract_floquet(2.0 * np.eye(2, dtype=complex))
-
-
-def test_extract_orthonormal_and_phase_fixed():
-    u = one_period_propagator(_params(0.1, math.pi))
-    _, v1, v2 = extract_floquet(u)
+def test_build_modes_orthonormal_and_phase_fixed():
+    m1, m2 = build_modes(_params(0.1, math.pi), n_grid=64).modes
+    v1, v2 = m1.samples[0], m2.samples[0]
     assert abs(np.linalg.norm(v1) - 1.0) <= 1e-12
     assert abs(np.linalg.norm(v2) - 1.0) <= 1e-12
     assert abs(np.conj(v1) @ v2) <= 1e-12
@@ -119,22 +122,50 @@ def test_extract_orthonormal_and_phase_fixed():
         assert big.real > 0.0
 
 
-def test_extract_monodromy_quasienergies():
-    pair, _, _ = extract_floquet(one_period_propagator(_params(0.1, math.pi)))
-    target = 0.1 * abs(bessel_j(0, math.pi)) / 2.0
-    # the ground-dominated vector carries the positive branch here because
-    # the zero-order Bessel factor has gone negative
-    assert pair.eps1 == pytest.approx(target, abs=1e-4)
-    assert pair.eps2 == pytest.approx(-target, abs=1e-4)
+@pytest.mark.parametrize(
+    "delta, zeta", [(1e-5, 70.0), (1e-5, 100.0), (1e-4, 40.0), (0.02, j0_zero(1) + 3e-6)]
+)
+def test_mode_vectors_match_shirley(delta, zeta):
+    # quasienergies 2e-7..1.3e-6 apart, where an eigensolve of the monodromy
+    # operator loses digits in the mode vectors; Shirley's Floquet matrix
+    # shares no code with the propagator
+    modes = build_modes(_params(delta, zeta), n_grid=64).modes
+    reference = shirley_modes(delta, zeta, [0.0])[:, 0]
+    for mode, ref in zip(modes, reference):
+        big = ref[np.argmax(np.abs(ref))]
+        ref = ref * (big.conjugate() / abs(big))  # largest component real positive
+        assert np.max(np.abs(mode.samples[0] - ref)) <= 1e-12
 
 
-def test_mode_parity_sign_splits_free_modes():
-    p = SystemParams(delta=0.1, rabi=0.0)
-    half = propagate(p, 0.0, math.pi)
-    s_ground = mode_parity_sign(np.array([1.0, 0.0j]), -0.05, half)
-    s_excited = mode_parity_sign(np.array([0.0j, 1.0]), 0.05, half)
-    assert s_ground == pytest.approx(1.0, abs=1e-10)
-    assert s_excited == pytest.approx(-1.0, abs=1e-10)
+def test_zone_boundary_has_no_parity():
+    # delta = 1 without drive folds both modes onto eps = 1/2
+    p = SystemParams(delta=1.0, rabi=0.0)
+    with pytest.raises(ClassificationError, match="zone boundary"):
+        exact_quasienergies(p)
+    with pytest.raises(ClassificationError, match="zone boundary"):
+        build_modes(p, n_grid=64)
+
+
+def test_zone_boundary_neighbourhood_solves():
+    # a weak drive at delta = 1 already splits the modes by parity
+    pair = exact_quasienergies(_params(1.0, 1e-4))
+    a, b = shirley_quasienergies(1.0, 1e-4)
+    straight = max(quasienergy_distance(pair.eps1, a), quasienergy_distance(pair.eps2, b))
+    crossed = max(quasienergy_distance(pair.eps1, b), quasienergy_distance(pair.eps2, a))
+    assert min(straight, crossed) <= 1e-10
+
+
+def test_exact_quasienergies_propagate_half_a_period(monkeypatch):
+    spans = []
+    original = driventls.floquet.propagate
+
+    def recording(params, tau_start, tau_end, config=None):
+        spans.append((tau_start, tau_end))
+        return original(params, tau_start, tau_end, config)
+
+    monkeypatch.setattr(driventls.floquet, "propagate", recording)
+    exact_quasienergies(_params(0.1, 2.0))
+    assert spans == [(0.0, math.pi)]
 
 
 def test_floquet_mode_periodicity():
@@ -247,8 +278,8 @@ def test_build_modes_at_crossing():
 
 
 def test_build_modes_deep_degenerate_split():
-    # tiny detuning at the crossing drives the monodromy spectrum into the
-    # degenerate branch, which must still split the modes by symmetry
+    # tiny detuning at the crossing puts both quasienergies within 1e-9 of
+    # zero; the symmetry operator still splits the modes
     p = _params(1e-5, j0_zero(1))
     m1, m2 = build_modes(p, n_grid=64).modes
     assert m1.parity == "symmetric" and m2.parity == "antisymmetric"

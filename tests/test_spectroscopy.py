@@ -5,6 +5,7 @@ import pytest
 
 from oracles import shirley_line_intensities
 
+import driventls.spectroscopy
 from driventls import (
     DomainError,
     SystemParams,
@@ -221,6 +222,26 @@ def test_spectrum_sum_rule_per_final_mode():
             assert abs(total - mu2) <= 0.1 * mu2
         totals.append(sum(line.intensity_numeric for line in lines if line.i == 1))
     assert all(b >= a - 1e-15 for a, b in zip(totals, totals[1:]))
+
+
+def test_spectrum_reads_one_bessel_row(monkeypatch):
+    p = _params(0.3, 10.0)
+    modes = _modes(p, 64)
+    orders = []
+    original = driventls.spectroscopy.bessel_row
+
+    def recording(order_max, x):
+        orders.append(order_max)
+        return original(order_max, x)
+
+    monkeypatch.setattr(driventls.spectroscopy, "bessel_row", recording)
+    lines = spectrum(p, modes, 9)
+    assert orders == [9]
+    monkeypatch.undo()
+    # J_|k| from the shared row agrees with the per-line closed form
+    for line in lines:
+        expected = line_intensity_analytic(p, line.i, line.j, line.k)
+        assert line.intensity_analytic == pytest.approx(expected, rel=2e-15, abs=0.0)
 
 
 def test_spectrum_validation():
