@@ -24,7 +24,7 @@ import numpy as np
 
 from .analytic import analytic_modes, analytic_quasienergies
 from .core import DomainError, DrivenTLSError, SystemParams, tau_grid, unitarity_defect
-from .floquet import build_modes, exact_quasienergies, match_modes, quasienergy_distance
+from .floquet import build_modes, exact_quasienergy_scan, match_modes, quasienergy_distance
 from .propagator import PropagationConfig
 from .spectroscopy import spectrum
 
@@ -106,24 +106,28 @@ def cmd_weights(config: RunConfig, zeta_list: list[float]) -> dict:
     return payload
 
 
-def _parity_gap(config: RunConfig, zeta: float) -> float:
-    pair = exact_quasienergies(config.at_zeta(zeta), config.propagation)
-    return pair.eps2 - pair.eps1
+def _crossing(config: RunConfig, a: float, b: float, fa: float, fb: float) -> float:
+    """Zero of the parity gap eps2 - eps1, which changes sign between a and b.
 
-
-def _bisect_crossing(config: RunConfig, lo: float, hi: float, g_lo: float) -> float:
-    for _ in range(60):
-        if hi - lo < 1e-10:
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 168 (1971)): b is the latest solve,
+    and the retained end a has its gap halved each time it survives.  Solves stay 2.5e-13
+    inside the bracket, so a converged end collapses it below 1e-12 with one more solve.
+    """
+    best = min((abs(fa), a), (abs(fb), b))
+    while abs(b - a) >= 1e-12:
+        e = 2.5e-13 / abs(b - a)
+        c = b + (a - b) * min(max(fb / (fb - fa), e), 1.0 - e)
+        pair = exact_quasienergy_scan(config.params.delta, [c], config.propagation)[0]
+        fc = pair.eps2 - pair.eps1
+        best = min(best, (abs(fc), c))
+        if fc == 0.0:
             break
-        mid = 0.5 * (lo + hi)
-        g_mid = _parity_gap(config, mid)
-        if g_mid == 0.0:
-            return mid
-        if (g_mid > 0.0) == (g_lo > 0.0):
-            lo, g_lo = mid, g_mid
+        if (fc > 0.0) == (fb > 0.0):
+            fa *= 0.5
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            a, fa = b, fb
+        b, fb = c, fc
+    return best[1]
 
 
 def cmd_sweep(
@@ -137,7 +141,7 @@ def cmd_sweep(
 
     Emits analytic and exact quasienergies side by side for each manifold
     offset n, and appends the drive strengths where the exact gap changes
-    sign (the level crossings) found by bisection.
+    sign (the level crossings), each located to 1e-12.
     """
     if not zeta_min < zeta_max:
         raise DomainError(f"need zeta_min < zeta_max, got {zeta_min} >= {zeta_max}")
@@ -146,13 +150,11 @@ def cmd_sweep(
     if not isinstance(manifolds, (int, np.integer)) or manifolds < 0:
         raise DomainError(f"manifolds must be an integer >= 0, got {manifolds!r}")
     zetas = np.linspace(zeta_min, zeta_max, int(zeta_steps))
-    gaps = []
+    exact_pairs = exact_quasienergy_scan(config.params.delta, zetas, config.propagation)
+    gaps = [exact.eps2 - exact.eps1 for exact in exact_pairs]
     rows = []
-    for zeta in zetas:
-        params = config.at_zeta(zeta)
-        analytic = analytic_quasienergies(params)
-        exact = exact_quasienergies(params, config.propagation)
-        gaps.append(exact.eps2 - exact.eps1)
+    for zeta, exact in zip(zetas, exact_pairs):
+        analytic = analytic_quasienergies(config.at_zeta(zeta))
         for n in range(-int(manifolds), int(manifolds) + 1):
             rows.append(
                 {
@@ -169,9 +171,8 @@ def cmd_sweep(
         if gaps[idx] == 0.0:
             crossings.append(float(zetas[idx]))
         elif gaps[idx] * gaps[idx + 1] < 0.0:
-            crossings.append(
-                _bisect_crossing(config, float(zetas[idx]), float(zetas[idx + 1]), gaps[idx])
-            )
+            lo, hi = float(zetas[idx]), float(zetas[idx + 1])
+            crossings.append(_crossing(config, lo, hi, gaps[idx], gaps[idx + 1]))
     if gaps and gaps[-1] == 0.0:
         crossings.append(float(zetas[-1]))
     payload = {"command": "sweep", "params": _param_echo(config)}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ClassificationError, DomainError, tau_grid
-from .propagator import PropagationConfig, propagate, propagate_grid
+from .propagator import PropagationConfig, half_period_propagators, propagate_grid
 
 # generalized-parity matrix: swaps nothing, flips the excited amplitude
 PARITY = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -215,13 +215,21 @@ def build_modes(
     return FloquetSolution(modes, grid[n_grid], estimate)
 
 
+def exact_quasienergy_scan(
+    delta: float, zetas, config: PropagationConfig | None = None
+) -> list[QuasienergyPair]:
+    """exact_quasienergies at every drive strength in zetas, from one batched propagation."""
+    halves, _ = half_period_propagators(delta, np.asarray(zetas, dtype=float) / 2.0, config)
+    return [_split(half)[0] for half in halves]
+
+
 def exact_quasienergies(params, config: PropagationConfig | None = None) -> QuasienergyPair:
     """Symmetry-labeled quasienergies from the half-period propagator alone.
 
     Cheaper than build_modes when the mode functions are not needed; eps1
     belongs to the symmetric mode.
     """
-    return _split(propagate(params, 0.0, math.pi, config))[0]
+    return exact_quasienergy_scan(params.delta, [params.zeta], config)[0]
 
 
 @dataclass(frozen=True)

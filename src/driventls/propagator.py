@@ -25,6 +25,9 @@ TWO_PI = 2.0 * math.pi
 # largest step-halving error estimate a returned propagator may carry
 _ERROR_BOUND = 1e-7
 
+# bytes of fine-run steps per batch of half_period_propagators (1 << 21 ran slower)
+_BATCH_BYTES = 1 << 19
+
 # distance of the two Gauss-Legendre nodes from the step midpoint, in steps
 _NODE = math.sqrt(3.0) / 6.0
 
@@ -59,16 +62,16 @@ def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
     return np.stack((a2 * a1 - b2 * b1.conj(), a2 * b1 + b2 * a1.conj()), axis=-1)
 
 
-def _steps(params: SystemParams, tau0: float, h: float, n: int) -> np.ndarray:
-    """The n Magnus steps of width h from tau0, as SU(2) pairs."""
+def _steps(delta: float, rabi, tau0: float, h: float, n: int) -> np.ndarray:
+    """The n Magnus steps of width h from tau0, as SU(2) pairs; (m, 1) rabi gives m rows."""
     mid = tau0 + h * (np.arange(n) + 0.5)
     c1 = np.cos(mid - _NODE * h)
     c2 = np.cos(mid + _NODE * h)
     # exp(-i (gz sigma_z + gx sigma_x + gy sigma_y)): gz and gx average H over
     # the step, gy is the commutator of H at the two nodes
-    gz = 0.5 * params.delta * h
-    gx = -0.5 * params.rabi * h * (c1 + c2)
-    gy = _NODE * h * gz * params.rabi * (c1 - c2)
+    gz = 0.5 * delta * h
+    gx = -0.5 * rabi * h * (c1 + c2)
+    gy = _NODE * h * gz * rabi * (c1 - c2)
     r = np.sqrt(gz * gz + gx * gx + gy * gy)
     s = np.sinc(r / math.pi)
     return np.stack((np.cos(r) + 1j * s * gz, -s * (gy + 1j * gx)), axis=-1)
@@ -94,7 +97,7 @@ def _prefix(blocks: np.ndarray) -> np.ndarray:
 
 def _evolve(params, tau0: float, span: float, n_steps: int, n_out: int) -> np.ndarray:
     """U(tau0 + span*k/n_out, tau0), k = 0..n_out, as SU(2) pairs; n_out | n_steps."""
-    steps = _steps(params, tau0, span / n_steps, n_steps)
+    steps = _steps(params.delta, params.rabi, tau0, span / n_steps, n_steps)
     blocks = _product(steps.reshape(n_out, n_steps // n_out, 2))
     return np.concatenate((np.array([[1.0, 0.0]], dtype=complex), _prefix(blocks)))
 
@@ -110,12 +113,16 @@ def _checked(params, tau0: float, span: float, n_steps: int, n_out: int):
     stride = 1 if (n_steps // n_out) % 2 == 0 else 2
     coarse = _evolve(params, tau0, span, n_steps // 2, n_out // stride)
     estimate = float(np.max(np.abs(fine[::stride] - coarse))) / 15.0
-    if estimate > _ERROR_BOUND:
+    _guard(estimate, f"with {n_steps} steps over a span of {span:.6g}")
+    return fine, estimate
+
+
+def _guard(estimate: float, where: str) -> None:
+    if not estimate <= _ERROR_BOUND:
         raise AccuracyError(
             f"step-halving error estimate {estimate:.3e} exceeds {_ERROR_BOUND:.0e} "
-            f"with {n_steps} steps over a span of {span:.6g}; increase steps_per_period"
+            f"{where}; increase steps_per_period"
         )
-    return fine, estimate
 
 
 def _matrices(u: np.ndarray) -> np.ndarray:
@@ -181,3 +188,34 @@ def propagate_grid(
     sub += (sub * n_grid) % 2
     u, estimate = _checked(params, 0.0, TWO_PI, sub * n_grid, n_grid)
     return _matrices(u), estimate
+
+
+def half_period_propagators(
+    delta: float, rabis, config: PropagationConfig | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """U(pi, 0) at every Rabi amplitude in rabis, shape (m, 2, 2), and the step-halving
+    error estimate of each, shape (m,); an estimate over 1e-7 raises AccuracyError naming
+    the first such zeta = 2*rabi.
+
+    Only [0, pi/2] is propagated, with steps_per_period // 4 steps: the drive is odd about
+    pi/2, so H(pi - tau) = P H(tau) P with P = diag(1, -1), and U(pi, 0) = P U(pi/2, 0)^T P
+    U(pi/2, 0).  Both runs are reflected before they are compared, so the estimate is the
+    one propagate(params, 0, pi) checks.
+    """
+    config = config or DEFAULT_CONFIG
+    rabis = np.asarray(rabis, dtype=float).reshape(-1)
+    n = config.steps_per_period // 4
+    batch = max(1, _BATCH_BYTES // (32 * n))
+    halves, errors = [], []
+    for chunk in np.split(rabis, range(batch, rabis.size, batch)):
+        runs = []
+        for k in (n, n // 2):
+            u = _product(_steps(delta, chunk[:, None], 0.0, 0.5 * math.pi / k, k))
+            # P U^T P is the pair (a, conj(b))
+            runs.append(_compose(np.stack((u[..., 0], u[..., 1].conj()), axis=-1), u))
+        estimates = np.max(np.abs(runs[0] - runs[1]), axis=-1) / 15.0
+        for rabi, estimate in zip(chunk, estimates):
+            _guard(estimate, f"at zeta = {2.0 * rabi:.17g} with {4 * n} steps per period")
+        halves.append(runs[0])
+        errors.append(estimates)
+    return _matrices(np.concatenate(halves)), np.concatenate(errors)

@@ -180,8 +180,9 @@ def shirley_quasienergies(delta: float, zeta: float) -> tuple[float, float]:
     return float(inside[0]), float(inside[1])
 
 
-def _parity_block_modes(delta: float, zeta: float) -> tuple[list[np.ndarray], int]:
-    """Harmonic coefficients of mode 1 and mode 2 from the parity blocks.
+def _parity_block_modes(delta: float, zeta: float) -> tuple[list[np.ndarray], int, list[float]]:
+    """Harmonic coefficients and quasienergies of mode 1 and mode 2 from the
+    parity blocks.
 
     An eigenvector c of the Floquet matrix with eigenvalue eps in (-1/2, 1/2]
     is the periodic mode u(tau) = sum_n c_n e^{i n tau}, unit norm over the
@@ -194,7 +195,7 @@ def _parity_block_modes(delta: float, zeta: float) -> tuple[list[np.ndarray], in
     """
     h, harmonic = _floquet_matrix(delta, zeta)
     spin = np.arange(harmonic.size) % 2
-    coeffs = []
+    coeffs, eps = [], []
     for parity in (0, 1):
         block = (harmonic + spin) % 2 == parity
         values, vectors = np.linalg.eigh(h[np.ix_(block, block)])
@@ -204,7 +205,16 @@ def _parity_block_modes(delta: float, zeta: float) -> tuple[list[np.ndarray], in
         full = np.zeros(harmonic.size, dtype=complex)
         full[block] = vectors[:, inside[0]]
         coeffs.append(full.reshape(-1, 2))
-    return coeffs, int(harmonic.max())
+        eps.append(float(values[inside[0]]))
+    return coeffs, int(harmonic.max()), eps
+
+
+def shirley_parity_gap(delta: float, zeta: float) -> float:
+    """eps2 - eps1 of the parity-labelled modes, from the same Floquet matrix
+    as shirley_quasienergies split into its parity blocks; it changes sign
+    at every level crossing."""
+    eps = _parity_block_modes(delta, zeta)[2]
+    return eps[1] - eps[0]
 
 
 def shirley_modes(delta: float, zeta: float, taus) -> np.ndarray:
@@ -214,7 +224,7 @@ def shirley_modes(delta: float, zeta: float, taus) -> np.ndarray:
     matrix, u(tau) = sum_n c_n e^{i n tau}.  Returns an array of shape
     (2, len(taus), 2); the overall phase of each mode is arbitrary.
     """
-    coeffs, n_harm = _parity_block_modes(delta, zeta)
+    coeffs, n_harm, _ = _parity_block_modes(delta, zeta)
     harmonics = np.arange(-n_harm, n_harm + 1)
     waves = np.exp(1j * np.multiply.outer(np.asarray(taus, dtype=float), harmonics))
     return np.stack([waves @ c for c in coeffs])
@@ -232,7 +242,7 @@ def shirley_line_intensities(
     Returns intensities for i, j in (1, 2) and |k| <= k_max, every parity
     class included.
     """
-    coeffs, n_harm = _parity_block_modes(delta, zeta)
+    coeffs, n_harm, _ = _parity_block_modes(delta, zeta)
     out = {}
     for i in (1, 2):
         for j in (1, 2):

@@ -1,7 +1,9 @@
 import json
 import math
+import re
 
 import pytest
+from oracles import shirley_parity_gap
 
 import driventls.floquet
 import driventls.propagator
@@ -122,6 +124,47 @@ def test_sweep_finds_crossing(capsys):
     assert payload["crossings"][0] == pytest.approx(2.404825557695773, abs=0.01)
 
 
+def _shirley_crossing(delta, lo, hi):
+    g_lo = shirley_parity_gap(delta, lo)
+    assert g_lo * shirley_parity_gap(delta, hi) < 0.0
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        g_mid = shirley_parity_gap(delta, mid)
+        if (g_mid > 0.0) == (g_lo > 0.0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("delta", ["0.03", "0.3"])
+def test_sweep_crossings_match_shirley(capsys, delta):
+    code, out, _ = _run(capsys, ["sweep", "--delta", delta, "--format", "json"])
+    assert code == 0
+    crossings = json.loads(out)["crossings"]
+    assert len(crossings) == 2
+    for zeta in crossings:
+        reference = _shirley_crossing(float(delta), zeta - 1e-6, zeta + 1e-6)
+        assert abs(zeta - reference) <= 1e-12
+
+
+def test_sweep_crossings_take_few_solves(monkeypatch, capsys):
+    # the 121 grid points come from one batched scan; every further Floquet
+    # solve is spent locating the two crossings
+    solves = []
+    original = driventls.floquet._split
+
+    def counting(half):
+        solves.append(half)
+        return original(half)
+
+    monkeypatch.setattr(driventls.floquet, "_split", counting)
+    code, out, _ = _run(capsys, ["sweep", "--format", "json"])
+    assert code == 0
+    assert len(json.loads(out)["crossings"]) == 2
+    assert len(solves) - 121 <= 24
+
+
 def test_byte_identical_output(tmp_path, capsys):
     argv = ["sweep", "--zeta-min", "0", "--zeta-max", "2", "--zeta-steps", "5", "--manifolds", "0"]
     a = tmp_path / "a.csv"
@@ -220,6 +263,14 @@ def test_runtime_error_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "error:" in err
+
+
+def test_sweep_accuracy_error_names_its_point(capsys):
+    code, out, err = _run(capsys, ["sweep", "--steps", "64", "--zeta-max", "40"])
+    assert code == 3
+    assert out == ""
+    assert re.search(r"at zeta = \d", err)
+    assert "with 64 steps per period" in err
 
 
 def test_zone_boundary_exits_3(capsys):

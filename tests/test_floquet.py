@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import shirley_modes, shirley_quasienergies
 
-import driventls.floquet
+import driventls.propagator
 from driventls import (
     ClassificationError,
     DomainError,
@@ -155,17 +155,20 @@ def test_zone_boundary_neighbourhood_solves():
     assert min(straight, crossed) <= 1e-10
 
 
-def test_exact_quasienergies_propagate_half_a_period(monkeypatch):
-    spans = []
-    original = driventls.floquet.propagate
+def test_exact_quasienergies_propagate_a_quarter_period(monkeypatch):
+    # one run over [0, pi/2] with steps_per_period // 4 steps, plus its
+    # half-step run; [pi/2, pi] comes from the reflection symmetry
+    runs = []
+    original = driventls.propagator._steps
 
-    def recording(params, tau_start, tau_end, config=None):
-        spans.append((tau_start, tau_end))
-        return original(params, tau_start, tau_end, config)
+    def recording(delta, rabi, tau0, h, n):
+        runs.append((tau0, h * n, n, np.shape(rabi)))
+        return original(delta, rabi, tau0, h, n)
 
-    monkeypatch.setattr(driventls.floquet, "propagate", recording)
-    exact_quasienergies(_params(0.1, 2.0))
-    assert spans == [(0.0, math.pi)]
+    monkeypatch.setattr(driventls.propagator, "_steps", recording)
+    exact_quasienergies(_params(0.1, 2.0), PropagationConfig(steps_per_period=256))
+    quarter = math.pi / 2
+    assert runs == [(0.0, quarter, 64, (1, 1)), (0.0, quarter, 32, (1, 1))]
 
 
 def test_floquet_mode_periodicity():

@@ -11,12 +11,15 @@ from driventls import (
     PropagationConfig,
     SystemParams,
     exact_quasienergies,
+    j0_zero,
     one_period_propagator,
     propagate,
     propagate_grid,
     quasienergy_distance,
     unitarity_defect,
 )
+from driventls.floquet import exact_quasienergy_scan
+from driventls.propagator import half_period_propagators
 
 TWO_PI = 2.0 * math.pi
 
@@ -127,6 +130,36 @@ def test_quasienergies_match_shirley(zeta, delta):
     straight = max(gap(pair.eps1, a), gap(pair.eps2, b))
     crossed = max(gap(pair.eps1, b), gap(pair.eps2, a))
     assert min(straight, crossed) <= 1e-10
+
+
+@pytest.mark.parametrize("zeta", [1.0, j0_zero(1), 40.0, 100.0])
+@pytest.mark.parametrize("delta", [0.02, 1.0])
+def test_quarter_period_reflection(zeta, delta):
+    # U(pi, 0) reflected from U(pi/2, 0) is the half-period propagator, and
+    # its estimate is the one of the direct 2048/1024-step run over [0, pi]
+    p = _params(delta, zeta)
+    halves, estimates = half_period_propagators(delta, [p.rabi])
+    direct = propagate(p, 0.0, math.pi)
+    assert np.max(np.abs(halves[0] - direct)) <= 1e-14
+    coarse = propagate(p, 0.0, math.pi, PropagationConfig(steps_per_period=2048))
+    estimate = np.max(np.abs(direct[0] - coarse[0])) / 15.0
+    assert estimates[0] == pytest.approx(estimate, rel=1e-3)
+
+
+def test_quasienergy_scan_matches_single_points():
+    # 121 drive strengths span several batches; each row equals its own solve
+    zetas = np.linspace(0.0, 6.0, 121)
+    scan = exact_quasienergy_scan(0.03, zetas)
+    for zeta, pair in zip(zetas, scan):
+        single = exact_quasienergies(_params(0.03, zeta))
+        assert abs(pair.eps1 - single.eps1) <= 1e-15
+        assert abs(pair.eps2 - single.eps2) <= 1e-15
+
+
+def test_scan_accuracy_error_names_first_failing_point():
+    config = PropagationConfig(steps_per_period=64)
+    with pytest.raises(AccuracyError, match=r"at zeta = 40 with 64 steps per period"):
+        half_period_propagators(0.02, [0.5, 20.0, 50.0], config)
 
 
 def test_accuracy_gate_trips_on_coarse_grid():
