@@ -51,10 +51,10 @@ def series_cutoff(zeta: float) -> int:
 
 def _miller_row(order_max: int, x: float) -> np.ndarray:
     """Downward recurrence J_{n-1} = (2n/x) J_n - J_{n+1}, then normalize."""
-    if x == 0.0:
-        row = np.zeros(order_max + 1)
-        row[0] = 1.0
-        return row
+    if x < 1e-8:
+        # the ratios 2n/x would overflow the recurrence below x ~ 1e-66; here the
+        # leading series term (x/2)^n / n! is exact to double precision
+        return np.cumprod(np.concatenate(([1.0], x / (2.0 * np.arange(1, order_max + 1)))))
     # start high enough above both the requested order and the turning
     # point n ~ x that the seeded tail has converged to the true ratio and the
     # dropped normalization tail is negligible; past x ~ 45 the turning-point

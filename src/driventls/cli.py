@@ -77,8 +77,7 @@ def cmd_weights(config: RunConfig, zeta_list: list[float]) -> dict:
     """
     if not zeta_list:
         raise DomainError("zeta list must be non-empty")
-    taus = tau_grid(config.n_grid)
-    rows = []
+    blocks = []  # (zeta, mode label, source, samples) per mode
     for zeta in zeta_list:
         params = config.at_zeta(zeta)
         sources = (
@@ -87,19 +86,17 @@ def cmd_weights(config: RunConfig, zeta_list: list[float]) -> dict:
         )
         for source, modes in sources:
             for mode in modes:
-                w1 = np.abs(mode.samples[:, 0]) ** 2
-                w2 = np.abs(mode.samples[:, 1]) ** 2
-                for tau, a, b in zip(taus, w1, w2):
-                    rows.append(
-                        {
-                            "zeta": float(zeta),
-                            "mode": mode.label,
-                            "source": source,
-                            "tau": float(tau),
-                            "weight1": float(a),
-                            "weight2": float(b),
-                        }
-                    )
+                blocks.append((float(zeta), mode.label, source, mode.samples))
+    zetas, labels, names, samples = zip(*blocks)
+    n = config.n_grid
+    rows = {
+        "zeta": np.repeat(zetas, n),
+        "mode": np.repeat(labels, n),
+        "source": np.repeat(names, n),
+        "tau": np.tile(tau_grid(n), len(blocks)),
+        "weight1": np.concatenate([np.abs(s[:, 0]) ** 2 for s in samples]),
+        "weight2": np.concatenate([np.abs(s[:, 1]) ** 2 for s in samples]),
+    }
     payload = {"command": "weights", "params": _param_echo(config)}
     payload["zetas"] = [float(z) for z in zeta_list]
     payload["rows"] = rows
@@ -151,21 +148,13 @@ def cmd_sweep(
         raise DomainError(f"manifolds must be an integer >= 0, got {manifolds!r}")
     zetas = np.linspace(zeta_min, zeta_max, int(zeta_steps))
     exact_pairs = exact_quasienergy_scan(config.params.delta, zetas, config.propagation)
+    analytic_pairs = [analytic_quasienergies(config.at_zeta(zeta)) for zeta in zetas]
     gaps = [exact.eps2 - exact.eps1 for exact in exact_pairs]
-    rows = []
-    for zeta, exact in zip(zetas, exact_pairs):
-        analytic = analytic_quasienergies(config.at_zeta(zeta))
-        for n in range(-int(manifolds), int(manifolds) + 1):
-            rows.append(
-                {
-                    "zeta": float(zeta),
-                    "n": n,
-                    "eps1_analytic": analytic.eps1 + n,
-                    "eps2_analytic": analytic.eps2 + n,
-                    "eps1_exact": exact.eps1 + n,
-                    "eps2_exact": exact.eps2 + n,
-                }
-            )
+    ns = np.arange(-int(manifolds), int(manifolds) + 1)
+    rows = {"zeta": np.repeat(zetas, ns.size), "n": np.tile(ns, zetas.size)}
+    for source, pairs in (("analytic", analytic_pairs), ("exact", exact_pairs)):
+        for eps in ("eps1", "eps2"):
+            rows[f"{eps}_{source}"] = np.add.outer([getattr(p, eps) for p in pairs], ns).ravel()
     crossings = []
     for idx in range(len(zetas) - 1):
         if gaps[idx] == 0.0:
@@ -189,20 +178,12 @@ def cmd_spectrum(config: RunConfig, k_max: int, include_forbidden: bool) -> dict
     """Transition line table for the configured drive strength."""
     modes = build_modes(config.params, config.propagation, config.n_grid).modes
     lines = spectrum(config.params, modes, k_max, include_forbidden)
-    rows = [
-        {
-            "i": line.i,
-            "j": line.j,
-            "k": line.k,
-            "frequency": line.frequency,
-            "intensity_numeric": line.intensity_numeric,
-            "intensity_analytic": line.intensity_analytic,
-            "class": line.line_class,
-            "forbidden": line.forbidden,
-            "direction": line.direction,
-        }
-        for line in lines
-    ]
+    fields = ("i", "j", "k", "frequency", "intensity_numeric", "intensity_analytic")
+    fields += ("line_class", "forbidden", "direction")
+    rows = {
+        "class" if name == "line_class" else name: np.array([getattr(line, name) for line in lines])
+        for name in fields
+    }
     payload = {"command": "spectrum", "params": _param_echo(config)}
     payload["k_max"] = int(k_max)
     payload["include_forbidden"] = bool(include_forbidden)
@@ -294,87 +275,104 @@ def cmd_validate(config: RunConfig, zeta_list: list[float]) -> dict:
                     "error": str(exc),
                 }
             )
+    # a column holding None (a refused zeta) has no numpy type and stays a list
+    columns = {key: [check[key] for check in checks] for key in checks[0]}
     payload = {"command": "validate", "params": _param_echo(config)}
     payload["thresholds"] = dict(_THRESHOLDS)
-    payload["checks"] = checks
-    payload["overall_pass"] = all(c["pass"] for c in checks)
+    payload["checks"] = {
+        key: column if None in column else np.array(column) for key, column in columns.items()
+    }
+    payload["overall_pass"] = all(columns["pass"])
     return payload
 
 
-def _f17(x) -> str:
-    return format(float(x), ".17g")
+def _texts(columns: list, as_json: bool) -> list[list[str]]:
+    """Cell text of each column: a 1-D array, or a list that may hold None.
+
+    The columns of one dtype kind are formatted together, each distinct value
+    once; floats with 17 significant digits.  Floats are told apart by their
+    bits, because np.unique takes -0.0 == 0.0 and the two print differently.
+    """
+    arrays = [
+        np.array([v for v in c if v is not None]) if isinstance(c, list) else c for c in columns
+    ]
+    texts = [None] * len(arrays)
+    for kind in dict.fromkeys(a.dtype.kind for a in arrays):
+        group = [i for i, a in enumerate(arrays) if a.dtype.kind == kind]
+        values = np.concatenate([arrays[i] for i in group])
+        keys = values.view(np.uint64) if kind == "f" else values
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        distinct = values[first].tolist()
+        if kind == "f":
+            distinct = [format(v, ".17g") for v in distinct]
+        elif kind != "U" or as_json:  # bools, integers, and strings in JSON
+            distinct = list(map(json.dumps, distinct))
+        cells = np.array(distinct, dtype=object)[inverse]
+        bounds = np.cumsum([arrays[i].size for i in group])[:-1]
+        for i, part in zip(group, np.split(cells, bounds)):
+            texts[i] = part.tolist()
+    null = "null" if as_json else ""
+    for i, column in enumerate(columns):
+        if isinstance(column, list):
+            present = iter(texts[i])
+            texts[i] = [null if v is None else next(present) for v in column]
+    return texts
 
 
-def _json_render(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f'{pad}  {json.dumps(key)}: {_json_render(val, indent + 1)}'
-            for key, val in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if all(not isinstance(v, (dict, list, tuple)) for v in value):
-            return "[" + ", ".join(_json_render(v) for v in value) + "]"
-        items = [f"{pad}  {_json_render(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _f17(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise DomainError(f"cannot serialize {type(value).__name__}")
+def _is_table(value) -> bool:
+    columns = value.values() if isinstance(value, dict) else ()
+    return any(isinstance(column, (list, np.ndarray)) for column in columns)
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _f17(value)
-    return str(value)
-
-
-def _csv_render(payload: dict) -> str:
-    lines = []
+def _to_json(payload: dict) -> str:
+    # one join over every piece keeps a single copy of the table text alive
+    pieces = []
     for key, value in payload.items():
-        if key == "rows":
-            continue
-        if isinstance(value, dict):
-            for sub, v in value.items():
-                lines.append(f"# {key}.{sub} = {_csv_cell(v)}")
-        elif isinstance(value, (list, tuple)):
-            joined = ", ".join(_csv_cell(v) for v in value)
-            lines.append(f"# {key} = [{joined}]")
+        pieces += [",\n" if pieces else "{\n", f"  {json.dumps(key)}: "]
+        if _is_table(value):
+            fields = [f'      {json.dumps(name).replace("%", "%%")}: %s' for name in value]
+            template = "    {\n" + ",\n".join(fields) + "\n    }"
+            rows = ",\n".join(map(template.__mod__, zip(*_texts(list(value.values()), True))))
+            pieces += ["[\n", rows, "\n  ]"] if rows else ["[]"]
+        elif isinstance(value, dict):
+            cells = _texts([[v] for v in value.values()], True)
+            fields = [f"    {json.dumps(sub)}: {cell}" for sub, (cell,) in zip(value, cells)]
+            pieces.append("{\n" + ",\n".join(fields) + "\n  }" if fields else "{}")
+        elif isinstance(value, list):
+            pieces.append("[" + ", ".join(_texts([value], True)[0]) + "]")
         else:
-            lines.append(f"# {key} = {_csv_cell(value)}")
-    rows = payload["rows"]
-    if rows:
-        header = list(rows[0].keys())
-        lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join(_csv_cell(row[col]) for col in header))
-    return "\n".join(lines) + "\n"
+            pieces.append(_texts([[value]], True)[0][0])
+    return "".join(pieces + ["\n}\n"])
+
+
+def _to_csv(payload: dict) -> str:
+    lines, body = [], []
+    for key, value in payload.items():
+        if _is_table(value):
+            rows = list(map(",".join, zip(*_texts(list(value.values()), False))))
+            if rows:
+                body += [",".join(value), *rows]
+        elif isinstance(value, dict):
+            cells = _texts([[v] for v in value.values()], False)
+            lines += [f"# {key}.{sub} = {cell}" for sub, (cell,) in zip(value, cells)]
+        elif isinstance(value, list):
+            lines.append(f"# {key} = [{', '.join(_texts([value], False)[0])}]")
+        else:
+            lines.append(f"# {key} = {_texts([[value]], False)[0][0]}")
+    return "\n".join(lines + body + [""])
 
 
 def render(payload: dict, output_format: str) -> str:
-    """Serialize a command payload to CSV or JSON text."""
+    """Serialize a command payload to CSV or JSON text.
+
+    A payload maps names to scalars, flat dicts, flat lists and tables: dicts
+    of equal-length columns, each a 1-D array or a list that may hold None.
+    CSV puts the table after `#` header lines; JSON writes it as row objects.
+    """
     if output_format == "json":
-        return _json_render(payload) + "\n"
+        return _to_json(payload)
     if output_format == "csv":
-        return _csv_render(payload)
+        return _to_csv(payload)
     raise DomainError(f"output format must be one of {_FORMATS}")
 
 

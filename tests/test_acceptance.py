@@ -73,10 +73,11 @@ def quasienergy_sweep():
 
 def test_criterion_01_quasienergy_first_order(quasienergy_sweep):
     worst = 0.0
-    for row in quasienergy_sweep["rows"]:
-        target = -0.5 * DELTA * bessel_j(0, row["zeta"])
-        worst = max(worst, abs(fold_quasienergy(row["eps1_exact"] - target)))
-        worst = max(worst, abs(fold_quasienergy(row["eps2_exact"] + target)))
+    rows = quasienergy_sweep["rows"]
+    for zeta, eps1, eps2 in zip(rows["zeta"], rows["eps1_exact"], rows["eps2_exact"]):
+        target = -0.5 * DELTA * bessel_j(0, zeta)
+        worst = max(worst, abs(fold_quasienergy(eps1 - target)))
+        worst = max(worst, abs(fold_quasienergy(eps2 + target)))
     _report(
         1,
         worst <= 2e-3,
@@ -205,9 +206,10 @@ def test_criterion_08_weight_extremes():
 def test_criterion_09_solver_integrity(quasienergy_sweep):
     worst_defect = 0.0
     worst_estimate = 0.0
+    rows = quasienergy_sweep["rows"]
     worst_sum = max(
-        abs(fold_quasienergy(row["eps1_exact"] + row["eps2_exact"]))
-        for row in quasienergy_sweep["rows"]
+        abs(fold_quasienergy(eps1 + eps2))
+        for eps1, eps2 in zip(rows["eps1_exact"], rows["eps2_exact"])
     )
     for zeta in (1.0, 10.0, 40.0):
         p = _params(0.1, zeta)

@@ -86,6 +86,15 @@ def test_bessel_domain_errors():
         bessel_j(1.5, 1.0)
 
 
+def test_bessel_tiny_argument():
+    # below x ~ 1e-66 the recurrence ratios 2n/x overflow to inf and NaN
+    for x in (5e-324, 1e-300, 1e-70, 1e-20, 9e-9, 2e-8):
+        row = bessel_row(5, x).values
+        for n in range(6):
+            assert row[n] == pytest.approx(j_power_series(n, x), rel=1e-14, abs=0.0), f"J_{n}({x})"
+        assert bessel_j(1, x) == row[1]
+
+
 def test_bessel_row_at_zero():
     row = bessel_row(4, 0.0)
     assert isinstance(row, BesselSeries)

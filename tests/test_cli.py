@@ -2,13 +2,14 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from oracles import shirley_parity_gap
 
 import driventls.floquet
 import driventls.propagator
 from driventls import DomainError
-from driventls.cli import _f17, main, render
+from driventls.cli import main, render
 
 
 def _run(capsys, argv):
@@ -166,14 +167,74 @@ def test_sweep_crossings_take_few_solves(monkeypatch, capsys):
 
 
 def test_byte_identical_output(tmp_path, capsys):
-    argv = ["sweep", "--zeta-min", "0", "--zeta-max", "2", "--zeta-steps", "5", "--manifolds", "0"]
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    assert main(argv + ["--out", str(a)]) == 0
-    assert main(argv + ["--out", str(b)]) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
-    assert a.read_bytes().endswith(b"\n")
+    for argv in (
+        ["sweep", "--zeta-min", "0", "--zeta-max", "2", "--zeta-steps", "5", "--manifolds", "0"],
+        ["weights", "--zetas", "0.6", "3.1", "--grid", "64", "--format", "json"],
+        ["validate", "--zetas", "0.6", "3.1"],
+    ):
+        a = tmp_path / "a.out"
+        b = tmp_path / "b.out"
+        assert main(argv + ["--out", str(a)]) == 0
+        assert main(argv + ["--out", str(b)]) == 0
+        capsys.readouterr()
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_bytes().endswith(b"\n")
+
+
+def _parse_csv(text):
+    header, lines = {}, []
+    for line in text.splitlines():
+        if line.startswith("# "):
+            key, _, value = line[2:].partition(" = ")
+            header[key] = value
+        else:
+            lines.append(line.split(","))
+    return header, lines[0], lines[1:]
+
+
+def _same_cell(text, value):
+    """Whether a CSV cell holds the JSON value: floats exactly after parsing."""
+    if value is None:
+        return text == ""
+    if isinstance(value, bool):
+        return text == ("true" if value else "false")
+    if isinstance(value, int):
+        return text == str(value)
+    if isinstance(value, float):
+        return float(text) == value
+    return text == value
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weights", "--zetas", "0.6", "2.404825557695773", "--grid", "64"],
+        ["sweep", "--zeta-steps", "9"],
+    ],
+)
+def test_csv_and_json_agree(capsys, argv):
+    _, csv_text, _ = _run(capsys, argv + ["--format", "csv"])
+    _, json_text, _ = _run(capsys, argv + ["--format", "json"])
+    header, names, rows = _parse_csv(csv_text)
+    payload = json.loads(json_text)
+    flat = {}
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            flat.update({f"{key}.{sub}": v for sub, v in value.items()})
+        elif key != "rows":
+            flat[key] = value
+    assert list(header) == list(flat)
+    for key, value in flat.items():
+        if isinstance(value, list):
+            cells = header[key][1:-1].split(", ") if value else []
+            assert header[key].startswith("[") and len(cells) == len(value)
+            assert all(_same_cell(c, v) for c, v in zip(cells, value)), key
+        else:
+            assert _same_cell(header[key], value), key
+    assert len(rows) == len(payload["rows"]) > 0
+    for row, obj in zip(rows, payload["rows"]):
+        assert list(obj) == names
+        assert all(_same_cell(c, v) for c, v in zip(row, obj.values())), (row, obj)
 
 
 def test_validate_passes_in_regime(capsys):
@@ -221,6 +282,24 @@ def test_validate_always_json(capsys):
     assert code == 0
     assert out.lstrip().startswith("{")
     json.loads(out)
+
+
+def test_validate_records_refusal(capsys):
+    # 64 steps per period cannot resolve zeta = 70: that check is recorded
+    # with null metrics, and the other zeta is still checked
+    argv = ["validate", "--zetas", "0.6", "70", "--steps", "64", "--grid", "64"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["overall_pass"] is False
+    passed, refused = payload["checks"]
+    assert passed["pass"] is True and passed["error"] is None
+    assert refused["zeta"] == 70
+    metrics = ("quasienergy_gap", "min_mode_fidelity", "max_forbidden_leakage")
+    for key in metrics + ("max_intensity_rel_error", "unitarity_drift"):
+        assert refused[key] is None
+    assert all(v is False for key, v in refused.items() if key.startswith("pass"))
+    assert "step-halving error estimate" in refused["error"]
 
 
 def test_validate_flags_out_of_regime(capsys):
@@ -300,9 +379,107 @@ def test_unwritable_output_exits_3(capsys):
 
 
 def test_float_formatting_roundtrip():
-    for x in (math.pi, 0.1, 1.0 / 3.0, 1e-300, 0.015212108882204693, 123456.7890123):
-        assert float(_f17(x)) == x
-    assert _f17(1.0) == "1"
+    values = [math.pi, 0.1, 1.0 / 3.0, 1e-300, 0.015212108882204693, 123456.7890123]
+    text = render({"values": values}, "csv")
+    assert text.startswith("# values = [") and text.endswith("]\n")
+    assert [float(cell) for cell in text[12:-2].split(", ")] == values
+    assert render({"one": 1.0}, "csv") == "# one = 1\n"
+
+
+_CONTRACT_PAYLOAD = {
+    "command": "demo",
+    "params": {"delta": 0.02, "steps": np.int64(64), "on": True},
+    "zetas": [0.6, -0.0, 1.0],
+    "crossings": [],
+    "rows": {
+        "x": np.array([0.0, -0.0, 1.0, 0.1]),
+        "y": np.array([1e-300, 5e-324, 0.0, -0.0]),
+        "n": np.array([1, -2, 3, 1]),
+        "ok": np.array([True, False, True, True]),
+        "maybe": [None, 0.5, None, -0.0],
+        "label": np.array(['say "hi"', "back\\slash", 'say "hi"', "plain"]),
+    },
+    "overall_pass": False,
+}
+
+_CONTRACT_CSV = r'''# command = demo
+# params.delta = 0.02
+# params.steps = 64
+# params.on = true
+# zetas = [0.59999999999999998, -0, 1]
+# crossings = []
+# overall_pass = false
+x,y,n,ok,maybe,label
+0,1e-300,1,true,,say "hi"
+-0,4.9406564584124654e-324,-2,false,0.5,back\slash
+1,0,3,true,,say "hi"
+0.10000000000000001,-0,1,true,-0,plain
+'''
+
+_CONTRACT_JSON = r'''{
+  "command": "demo",
+  "params": {
+    "delta": 0.02,
+    "steps": 64,
+    "on": true
+  },
+  "zetas": [0.59999999999999998, -0, 1],
+  "crossings": [],
+  "rows": [
+    {
+      "x": 0,
+      "y": 1e-300,
+      "n": 1,
+      "ok": true,
+      "maybe": null,
+      "label": "say \"hi\""
+    },
+    {
+      "x": -0,
+      "y": 4.9406564584124654e-324,
+      "n": -2,
+      "ok": false,
+      "maybe": 0.5,
+      "label": "back\\slash"
+    },
+    {
+      "x": 1,
+      "y": 0,
+      "n": 3,
+      "ok": true,
+      "maybe": null,
+      "label": "say \"hi\""
+    },
+    {
+      "x": 0.10000000000000001,
+      "y": -0,
+      "n": 1,
+      "ok": true,
+      "maybe": -0,
+      "label": "plain"
+    }
+  ],
+  "overall_pass": false
+}
+'''
+
+
+def test_render_contract():
+    # "-0" must survive deduplication, which takes 0.0 == -0.0 as equal
+    assert render(_CONTRACT_PAYLOAD, "csv") == _CONTRACT_CSV
+    text = render(_CONTRACT_PAYLOAD, "json")
+    assert text == _CONTRACT_JSON
+    # json.loads reads "-0" as the integer 0, so the sign is pinned by the text
+    payload = json.loads(text)
+    assert list(payload) == list(_CONTRACT_PAYLOAD)
+    assert payload["params"] == {"delta": 0.02, "steps": 64, "on": True}
+    assert payload["zetas"] == [0.6, -0.0, 1.0] and payload["crossings"] == []
+    assert payload["overall_pass"] is False
+    table = _CONTRACT_PAYLOAD["rows"]
+    assert [list(row) for row in payload["rows"]] == [list(table)] * 4
+    for name, column in table.items():
+        expected = column.tolist() if isinstance(column, np.ndarray) else column
+        assert [row[name] for row in payload["rows"]] == expected, name
 
 
 def test_render_rejects_unknown_format():
