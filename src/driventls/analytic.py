@@ -116,20 +116,35 @@ def analytic_quasienergies(params: SystemParams) -> QuasienergyPair:
     return QuasienergyPair(fold_quasienergy(-e), fold_quasienergy(e))
 
 
-def _raw_state(params: SystemParams, label: int, t: np.ndarray) -> np.ndarray:
-    row = _coefficient_row(params)
+def _raw_states(
+    params: SystemParams, row: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalised first-order spinors of mode 1 and mode 2 at the phases t."""
     ph = params.rabi * np.sin(t)
     xs = _xi_s_from_row(row, t)
     xa = _xi_a_from_row(row, t)
     c, s = np.cos(ph), np.sin(ph)
     d = params.delta
-    if label == 1:
-        c1 = c + 1j * d * (xs * c - xa * s)
-        c2 = 1j * (s + 1j * d * (xs * s + xa * c))
-    else:
-        c1 = 1j * (s - 1j * d * (xs * s + xa * c))
-        c2 = c - 1j * d * (xs * c - xa * s)
-    return np.stack([c1, c2], axis=-1)
+    u = xs * c - xa * s
+    v = xs * s + xa * c
+    mode1 = np.stack([c + 1j * d * u, 1j * (s + 1j * d * v)], axis=-1)
+    mode2 = np.stack([1j * (s - 1j * d * v), c - 1j * d * u], axis=-1)
+    return mode1, mode2
+
+
+def _states(params: SystemParams, t: np.ndarray) -> list[np.ndarray]:
+    """Both first-order modes at the phases t from one Bessel row, phase-anchored at tau = 0."""
+    row = _coefficient_row(params)
+    raw = _raw_states(params, row, t)
+    # a grid that starts at tau = 0 carries its own anchor
+    zero = raw if t.ndim == 1 and t.size and t[0] == 0.0 else _raw_states(params, row, np.zeros(1))
+    states = []
+    for out, anchor in zip(raw, zero):
+        anchor = anchor[0]
+        idx = 0 if abs(anchor[0]) >= abs(anchor[1]) else 1
+        out = out / np.linalg.norm(out, axis=-1, keepdims=True)
+        states.append(out * (anchor[idx].conjugate() / abs(anchor[idx])))
+    return states
 
 
 def analytic_floquet_state(params: SystemParams, label: int, tau) -> np.ndarray:
@@ -149,12 +164,7 @@ def analytic_floquet_state(params: SystemParams, label: int, tau) -> np.ndarray:
     if label not in (1, 2):
         raise DomainError(f"mode label must be 1 or 2, got {label!r}")
     t = _as_tau_array(tau)
-    out = _raw_state(params, label, np.atleast_1d(t))
-    out = out / np.linalg.norm(out, axis=-1, keepdims=True)
-
-    anchor = _raw_state(params, label, np.asarray([0.0]))[0]
-    idx = 0 if abs(anchor[0]) >= abs(anchor[1]) else 1
-    out = out * (anchor[idx].conjugate() / abs(anchor[idx]))
+    out = _states(params, np.atleast_1d(t))[label - 1]
     if np.ndim(tau) == 0:
         return out[0]
     return out
@@ -200,11 +210,9 @@ def analytic_modes(params: SystemParams, n_grid: int = 512) -> tuple[FloquetMode
     """
     if not isinstance(n_grid, (int, np.integer)) or n_grid < 64 or n_grid % 2 != 0:
         raise DomainError(f"n_grid must be an even integer >= 64, got {n_grid!r}")
-    taus = tau_grid(n_grid)
     pair = analytic_quasienergies(params)
     modes = []
-    for label in (1, 2):
-        samples = analytic_floquet_state(params, label, taus)
+    for label, samples in zip((1, 2), _states(params, tau_grid(n_grid))):
         parity = classify_parity(samples)
         modes.append(FloquetMode(label, pair.for_label(label), samples, parity, "analytic"))
     return modes[0], modes[1]

@@ -63,12 +63,19 @@ def _miller_row(order_max: int, x: float) -> np.ndarray:
         16 + math.ceil(10.0 * math.log10(1.0 + x)), math.ceil(10.0 * x ** (1.0 / 3.0)) - 2
     )
     n_start = max(order_max, math.ceil(x)) + margin
-    values = np.zeros(n_start + 2)
-    values[n_start] = 1e-30
+    # the recurrence runs on Python floats, J_{n_start+1} first; numpy scalars
+    # would cost more per step than the arithmetic itself
+    descending = [0.0, 1e-30]
+    upper, current = 0.0, 1e-30
     for n in range(n_start, 0, -1):
-        values[n - 1] = (2.0 * n / x) * values[n] - values[n + 1]
-        if abs(values[n - 1]) > _BIG:
-            values *= _BIG_INV  # entries this far above the head underflow harmlessly
+        upper, current = current, (2.0 * n / x) * current - upper
+        if abs(current) > _BIG:
+            # entries this far above the head underflow harmlessly
+            descending = [v * _BIG_INV for v in descending]
+            upper *= _BIG_INV
+            current *= _BIG_INV
+        descending.append(current)
+    values = np.array(descending[::-1])
     norm = values[0] + 2.0 * np.sum(values[2::2])
     return values[: order_max + 1] / norm
 

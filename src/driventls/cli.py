@@ -196,12 +196,8 @@ def _validate_one(config: RunConfig, zeta: float) -> dict:
     solution = build_modes(params, config.propagation, config.n_grid)
     exact = solution.modes
     analytic = analytic_modes(params, config.n_grid)
-    analytic_pair = analytic_quasienergies(params)
 
-    gap = max(
-        quasienergy_distance(exact[0].quasienergy, analytic_pair.eps1),
-        quasienergy_distance(exact[1].quasienergy, analytic_pair.eps2),
-    )
+    gap = max(quasienergy_distance(e.quasienergy, a.quasienergy) for e, a in zip(exact, analytic))
     fidelity = min(match_modes(exact, analytic).overlaps)
 
     lines = spectrum(params, exact, 9, include_forbidden=True)

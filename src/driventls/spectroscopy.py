@@ -10,12 +10,13 @@ exactly: same-mode transitions need odd k, cross-mode transitions even k.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import analytic_quasienergies
-from .bessel import bessel_row
+from .bessel import bessel_j, bessel_row
 from .core import SIGMA_X, DomainError, SystemParams, tau_grid
 from .floquet import FloquetMode
 
@@ -40,10 +41,6 @@ class TransitionLine:
     line_class: str
     forbidden: bool
     direction: int
-
-    @property
-    def intensity(self) -> float:
-        return self.intensity_numeric
 
 
 def _check_label(label: int) -> None:
@@ -80,18 +77,6 @@ def line_class(i: int, j: int, k: int) -> str:
     return "intra_manifold" if k == 0 else "hyper_raman"
 
 
-def _first_order_intensity(
-    params: SystemParams, i: int, j: int, k: int, row: np.ndarray
-) -> float:
-    """line_intensity_analytic with J_|k|(zeta) read from a Bessel row."""
-    if is_forbidden(i, j, k):
-        return 0.0
-    mu2 = params.dipole**2
-    if k == 0:
-        return mu2
-    return mu2 * (params.delta * row[abs(k)] / k) ** 2
-
-
 def line_intensity_analytic(params: SystemParams, i: int, j: int, k: int) -> float:
     """Closed-form first-order line intensity in units of dipole**2.
 
@@ -99,8 +84,20 @@ def line_intensity_analytic(params: SystemParams, i: int, j: int, k: int) -> flo
     allowed line is weaker by (delta * J_|k|(zeta) / k)**2; forbidden
     combinations return exactly 0.
     """
-    _check_offset(k)
-    return _first_order_intensity(params, i, j, k, bessel_row(abs(k), params.zeta).values)
+    if is_forbidden(i, j, k):
+        return 0.0
+    mu2 = params.dipole**2
+    if k == 0:
+        return mu2
+    return mu2 * (params.delta * bessel_j(abs(k), params.zeta) / k) ** 2
+
+
+@functools.lru_cache(maxsize=8)
+def _phase_table(n: int, k_max: int) -> np.ndarray:
+    """e^{i k tau} on the n-sample grid for k = -k_max..k_max, shared read-only."""
+    table = np.exp(1j * np.multiply.outer(tau_grid(n), np.arange(-k_max, k_max + 1)))
+    table.setflags(write=False)
+    return table
 
 
 def spectrum(
@@ -135,33 +132,33 @@ def spectrum(
         raise DomainError(f"k_max must be below n_samples/2 = {n // 2}, got {k_max}")
     pair = analytic_quasienergies(params)
     row = bessel_row(k_max, params.zeta).values
+    phases = _phase_table(n, k_max)
     by_label = {m.label: m for m in modes}
-    ks = np.arange(-k_max, k_max + 1)
-    phases = np.exp(1j * np.multiply.outer(tau_grid(n), ks))
-    lines = []
+    mu2 = params.dipole**2
+    intensities = []
     for i in (1, 2):
         for j in (1, 2):
             # <mode_i(tau)| sigma_x |mode_j(tau)> at every sample
             f = np.sum(np.conj(by_label[i].samples) * (by_label[j].samples @ SIGMA_X), axis=1)
             # period average of f(tau) e^{i k tau} for every k at once
-            intensities = params.dipole**2 * np.abs(f @ phases / n) ** 2
-            for k, intensity in zip(ks.tolist(), intensities.tolist()):
-                forbidden = is_forbidden(i, j, k)
-                if forbidden and not include_forbidden:
-                    continue
-                signed = pair.for_label(j) - pair.for_label(i) + k
-                lines.append(
-                    TransitionLine(
-                        i=i,
-                        j=j,
-                        k=k,
-                        frequency=abs(signed),
-                        intensity_numeric=intensity,
-                        intensity_analytic=_first_order_intensity(params, i, j, k, row),
-                        line_class=line_class(i, j, k),
-                        forbidden=forbidden,
-                        direction=(signed > 0) - (signed < 0),
-                    )
-                )
-    lines.sort(key=lambda line: (line.frequency, line.k, line.i, line.j))
-    return lines
+            intensities.append(mu2 * np.abs(f @ phases / n) ** 2)
+    # one entry per (i, j, k), in the order the intensities were stacked
+    ks = np.arange(-k_max, k_max + 1)
+    i_col = np.repeat([1, 1, 2, 2], ks.size)
+    j_col = np.repeat([1, 2, 1, 2], ks.size)
+    k_col = np.tile(ks, 4)
+    same = i_col == j_col
+    forbidden = same == (k_col % 2 == 0)
+    eps = np.array([pair.eps1, pair.eps2])
+    signed = eps[j_col - 1] - eps[i_col - 1] + k_col
+    # k = 0 lines carry mu2; dividing by 1 there keeps the unused branch finite
+    scaled = mu2 * (params.delta * row[np.abs(k_col)] / np.where(k_col == 0, 1, k_col)) ** 2
+    analytic = np.where(forbidden, 0.0, np.where(k_col == 0, mu2, scaled))
+    classes = np.where(same, "odd_harmonic", np.where(k_col == 0, "intra_manifold", "hyper_raman"))
+    frequency = np.abs(signed)
+    order = np.lexsort((j_col, i_col, k_col, frequency))
+    if not include_forbidden:
+        order = order[~forbidden[order]]
+    columns = (i_col, j_col, k_col, frequency, np.concatenate(intensities), analytic, classes)
+    columns += (forbidden, np.sign(signed).astype(int))
+    return [TransitionLine(*line) for line in zip(*(c[order].tolist() for c in columns))]

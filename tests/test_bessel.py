@@ -95,6 +95,17 @@ def test_bessel_tiny_argument():
         assert bessel_j(1, x) == row[1]
 
 
+def test_bessel_row_rescaled_recurrence():
+    # from n_start = 57 down, the unnormalised head would reach ~1e503, 1e463
+    # and 1e349 at the first three arguments, so the recurrence rescales by
+    # 1e-250 twice, once and once; at x = 1e-3 (~1e235) it stays below the
+    # rescale.  J_39 and J_40 at x <= 1e-7 underflow to 0 on both sides.
+    for x in (2e-8, 1e-7, 1e-5, 1e-3):
+        row = bessel_row(40, x).values
+        for n in range(41):
+            assert row[n] == pytest.approx(j_power_series(n, x), rel=1e-14, abs=0.0), f"J_{n}({x})"
+
+
 def test_bessel_row_at_zero():
     row = bessel_row(4, 0.0)
     assert isinstance(row, BesselSeries)

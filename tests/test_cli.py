@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import shirley_parity_gap
 
+import driventls.bessel
 import driventls.floquet
 import driventls.propagator
 from driventls import DomainError
@@ -273,6 +274,39 @@ def test_validate_propagates_once_per_zeta(monkeypatch, capsys):
     assert code == 0
     assert len(json.loads(out)["checks"]) == 2
     assert counts == {"grid": 2, "checked": 2}
+
+
+def test_closed_form_bessel_row_budget(monkeypatch, capsys):
+    # the analytic modes read one coefficient row and one J0, and spectrum
+    # one J0 and one row up to k_max, so validate needs 4 rows per zeta and
+    # weights 2
+    rows = []
+    original = driventls.bessel._miller_row
+
+    def counting(order_max, x):
+        rows.append(x)
+        return original(order_max, x)
+
+    monkeypatch.setattr(driventls.bessel, "_miller_row", counting)
+    code, _, _ = _run(capsys, ["validate", "--zetas", "0.6", "3.1", "--grid", "64"])
+    assert code == 0
+    assert len(rows) <= 4 * 2
+    rows.clear()
+    code, _, _ = _run(capsys, ["weights", "--zetas", "0.6", "3.1", "40", "--grid", "64"])
+    assert code == 0
+    assert len(rows) <= 2 * 3
+
+
+def test_validate_checks_do_not_depend_on_other_zetas(capsys):
+    # the phase table is cached across zetas; each check must be what a
+    # run of its zeta alone gives
+    def checks(zetas):
+        code, out, _ = _run(capsys, ["validate", "--zetas", *zetas, "--grid", "128"])
+        assert code == 0
+        return json.loads(out)["checks"]
+
+    both = checks(["0.6", "40"])
+    assert both == checks(["0.6"]) + checks(["40"])
 
 
 def test_validate_always_json(capsys):

