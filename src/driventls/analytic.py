@@ -136,8 +136,7 @@ def _states(params: SystemParams, t: np.ndarray) -> list[np.ndarray]:
     """Both first-order modes at the phases t from one Bessel row, phase-anchored at tau = 0."""
     row = _coefficient_row(params)
     raw = _raw_states(params, row, t)
-    # a grid that starts at tau = 0 carries its own anchor
-    zero = raw if t.ndim == 1 and t.size and t[0] == 0.0 else _raw_states(params, row, np.zeros(1))
+    zero = _raw_states(params, row, np.zeros(1))
     states = []
     for out, anchor in zip(raw, zero):
         anchor = anchor[0]

@@ -10,7 +10,6 @@ exactly: same-mode transitions need odd k, cross-mode transitions even k.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,14 +91,6 @@ def line_intensity_analytic(params: SystemParams, i: int, j: int, k: int) -> flo
     return mu2 * (params.delta * bessel_j(abs(k), params.zeta) / k) ** 2
 
 
-@functools.lru_cache(maxsize=8)
-def _phase_table(n: int, k_max: int) -> np.ndarray:
-    """e^{i k tau} on the n-sample grid for k = -k_max..k_max, shared read-only."""
-    table = np.exp(1j * np.multiply.outer(tau_grid(n), np.arange(-k_max, k_max + 1)))
-    table.setflags(write=False)
-    return table
-
-
 def spectrum(
     params: SystemParams,
     modes: tuple[FloquetMode, FloquetMode],
@@ -132,7 +123,8 @@ def spectrum(
         raise DomainError(f"k_max must be below n_samples/2 = {n // 2}, got {k_max}")
     pair = analytic_quasienergies(params)
     row = bessel_row(k_max, params.zeta).values
-    phases = _phase_table(n, k_max)
+    ks = np.arange(-k_max, k_max + 1)
+    phases = np.exp(1j * np.multiply.outer(tau_grid(n), ks))
     by_label = {m.label: m for m in modes}
     mu2 = params.dipole**2
     intensities = []
@@ -143,7 +135,6 @@ def spectrum(
             # period average of f(tau) e^{i k tau} for every k at once
             intensities.append(mu2 * np.abs(f @ phases / n) ** 2)
     # one entry per (i, j, k), in the order the intensities were stacked
-    ks = np.arange(-k_max, k_max + 1)
     i_col = np.repeat([1, 1, 2, 2], ks.size)
     j_col = np.repeat([1, 2, 1, 2], ks.size)
     k_col = np.tile(ks, 4)

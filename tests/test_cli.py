@@ -297,18 +297,6 @@ def test_closed_form_bessel_row_budget(monkeypatch, capsys):
     assert len(rows) <= 2 * 3
 
 
-def test_validate_checks_do_not_depend_on_other_zetas(capsys):
-    # the phase table is cached across zetas; each check must be what a
-    # run of its zeta alone gives
-    def checks(zetas):
-        code, out, _ = _run(capsys, ["validate", "--zetas", *zetas, "--grid", "128"])
-        assert code == 0
-        return json.loads(out)["checks"]
-
-    both = checks(["0.6", "40"])
-    assert both == checks(["0.6"]) + checks(["40"])
-
-
 def test_validate_always_json(capsys):
     code, out, _ = _run(
         capsys, ["validate", "--zetas", "3.141592653589793", "--grid", "128", "--format", "csv"]

@@ -267,23 +267,6 @@ def test_spectrum_metadata_matches_rules(delta, zeta):
     assert len(set(keys)) == len(keys)
 
 
-def test_phase_table_cache_is_shared_and_read_only():
-    small_p, large_p = _params(0.1, 2.0), _params(0.3, 10.0)
-    small_modes, large_modes = _modes(small_p, 64), _modes(large_p, 512)
-    # the table is keyed on both the grid and k_max
-    calls = [(small_p, small_modes, 3), (large_p, large_modes, 9), (small_p, small_modes, 9)]
-    first = [spectrum(*call, include_forbidden=True) for call in calls]
-    for _ in range(2):
-        for call, lines in zip(calls, first):
-            assert spectrum(*call, include_forbidden=True) == lines
-    assert len(first[2]) == 4 * 19
-    table = driventls.spectroscopy._phase_table(64, 3)
-    assert table.shape == (64, 7)
-    assert table is driventls.spectroscopy._phase_table(64, 3)
-    with pytest.raises(ValueError):
-        table[0, 0] = 0.0
-
-
 def test_spectrum_validation():
     p = _params(0.1, 1.0)
     modes = _modes(p, 64)
