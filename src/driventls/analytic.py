@@ -17,7 +17,7 @@ import numpy as np
 
 from .bessel import bessel_j, bessel_row, series_cutoff
 from .core import DomainError, SystemParams, su2_exponential, tau_grid
-from .floquet import FloquetMode, QuasienergyPair, classify_parity, fold_quasienergy
+from .floquet import FloquetMode, QuasienergyPair, fold_quasienergy
 
 
 def _as_tau_array(tau) -> np.ndarray:
@@ -42,7 +42,7 @@ def phi(params: SystemParams, tau):
 
 def _coefficient_row(params: SystemParams) -> np.ndarray:
     zeta = params.zeta
-    return bessel_row(series_cutoff(zeta), zeta).values
+    return bessel_row(series_cutoff(zeta), zeta)
 
 
 def _xi_s_from_row(row: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -75,35 +75,16 @@ def xi_a(params: SystemParams, tau):
     return _unwrap(tau, _xi_a_from_row(_coefficient_row(params), t))
 
 
-def alpha(params: SystemParams, tau):
-    """Zero-mean even-harmonic part of cos(2 phi): cos(zeta sin tau) - J_0."""
-    t = _as_tau_array(tau)
-    row = _coefficient_row(params)
-    ns = np.arange(2, row.size, 2)
-    return _unwrap(tau, 2.0 * (np.cos(np.multiply.outer(t, ns)) @ row[ns]))
-
-
-def beta_over_i(params: SystemParams, tau):
-    """Odd-harmonic series for sin(2 phi) = sin(zeta sin tau).
-
-    The coupling coefficient itself is imaginary; this returns it divided
-    by i, which is real.
-    """
-    t = _as_tau_array(tau)
-    row = _coefficient_row(params)
-    ns = np.arange(1, row.size, 2)
-    return _unwrap(tau, 2.0 * (np.sin(np.multiply.outer(t, ns)) @ row[ns]))
+def _eta_from_row(delta: float, row: np.ndarray, j0: float, t: np.ndarray) -> np.ndarray:
+    xa0 = _xi_a_from_row(row, np.asarray(0.0))
+    return 1j * (xa0 - np.exp(-1j * delta * j0 * t) * _xi_a_from_row(row, t))
 
 
 def eta(params: SystemParams, tau):
     """Complex phase function i*(xi_a(0) - exp(-i delta J_0 tau) xi_a(tau))."""
     t = _as_tau_array(tau)
     row = _coefficient_row(params)
-    xa0 = _xi_a_from_row(row, np.asarray(0.0))
-    xa = _xi_a_from_row(row, t)
-    j0 = bessel_j(0, params.zeta)
-    out = 1j * (xa0 - np.exp(-1j * params.delta * j0 * t) * xa)
-    return _unwrap(tau, out)
+    return _unwrap(tau, _eta_from_row(params.delta, row, bessel_j(0, params.zeta), t))
 
 
 def analytic_quasienergies(params: SystemParams) -> QuasienergyPair:
@@ -173,8 +154,9 @@ def analytic_evolution(params: SystemParams, tau: float) -> np.ndarray:
     """First-order evolution operator from phase 0 to tau, exactly unitary.
 
     Product of the drive-frame rotation, the averaged-detuning phase, and
-    the closed-form exponential of the first-order correction.  Agrees with
-    the exact propagator to O(delta**2) in operator norm.
+    the closed-form exponential of the first-order correction, all from one
+    Bessel coefficient row and one J_0.  Agrees with the exact propagator to
+    O(delta**2) in operator norm.
     """
     if np.ndim(tau) != 0:
         raise DomainError("tau must be a scalar")
@@ -183,6 +165,7 @@ def analytic_evolution(params: SystemParams, tau: float) -> np.ndarray:
         raise DomainError("tau must be finite")
     d = params.delta
     ph = params.rabi * math.sin(t)
+    row = _coefficient_row(params)
     j0 = bessel_j(0, params.zeta)
     frame = np.array(
         [[math.cos(ph), 1j * math.sin(ph)], [1j * math.sin(ph), math.cos(ph)]],
@@ -192,7 +175,9 @@ def analytic_evolution(params: SystemParams, tau: float) -> np.ndarray:
         [[np.exp(0.5j * d * j0 * t), 0.0], [0.0, np.exp(-0.5j * d * j0 * t)]],
         dtype=complex,
     )
-    correction = su2_exponential(-d * xi_s(params, t), d * eta(params, t))
+    ta = np.asarray(t)
+    xs = _xi_s_from_row(row, ta).item()
+    correction = su2_exponential(-d * xs, d * _eta_from_row(d, row, j0, ta).item())
     return frame @ mean_phase @ correction
 
 
@@ -204,14 +189,13 @@ def analytic_modes(params: SystemParams, n_grid: int = 512) -> tuple[FloquetMode
         n_grid: even sample count >= 64.
 
     Returns:
-        (mode1, mode2) tagged source "analytic", directly comparable to the
-        numeric modes from build_modes on the same grid.
+        (mode1, mode2), directly comparable label by label to the numeric
+        modes from build_modes on the same grid.  Mode 1 is symmetric by
+        construction: phi and xi_a change sign under tau -> tau + pi, and
+        xi_s does not.
     """
     if not isinstance(n_grid, (int, np.integer)) or n_grid < 64 or n_grid % 2 != 0:
         raise DomainError(f"n_grid must be an even integer >= 64, got {n_grid!r}")
     pair = analytic_quasienergies(params)
-    modes = []
-    for label, samples in zip((1, 2), _states(params, tau_grid(n_grid))):
-        parity = classify_parity(samples)
-        modes.append(FloquetMode(label, pair.for_label(label), samples, parity, "analytic"))
-    return modes[0], modes[1]
+    state1, state2 = _states(params, tau_grid(n_grid))
+    return FloquetMode(1, pair.eps1, state1), FloquetMode(2, pair.eps2, state2)

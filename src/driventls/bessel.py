@@ -11,7 +11,6 @@ for every order, unlike the upward recurrence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,22 +20,6 @@ from .core import DomainError
 # overflow at small arguments where successive ratios are ~2n/x
 _BIG = 1e250
 _BIG_INV = 1e-250
-
-
-@dataclass(frozen=True)
-class BesselSeries:
-    """Row of values J_0(x) .. J_order_max(x) at a fixed argument.
-
-    Satisfies the normalization J0^2 + 2*sum_{n>=1} J_n^2 = 1 up to the
-    truncated tail when order_max follows series_cutoff.
-    """
-
-    order_max: int
-    argument: float
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values.setflags(write=False)
 
 
 def series_cutoff(zeta: float) -> int:
@@ -103,14 +86,19 @@ def bessel_j(n: int, x: float) -> float:
     return float(_miller_row(int(n), float(x))[n])
 
 
-def bessel_row(order_max: int, x: float) -> BesselSeries:
-    """All of J_0(x) .. J_order_max(x) in one downward sweep."""
+def bessel_row(order_max: int, x: float) -> np.ndarray:
+    """Read-only array of J_0(x) .. J_order_max(x) from one downward sweep.
+
+    Satisfies the normalization J0^2 + 2*sum_{n>=1} J_n^2 = 1 up to the
+    truncated tail when order_max follows series_cutoff.
+    """
     if not isinstance(order_max, (int, np.integer)) or order_max < 0:
         raise DomainError(f"order_max must be a non-negative integer, got {order_max!r}")
     if not math.isfinite(x) or x < 0:
         raise DomainError(f"argument must be finite and >= 0, got {x!r}")
     values = _miller_row(int(order_max), float(x))
-    return BesselSeries(order_max=int(order_max), argument=float(x), values=values)
+    values.setflags(write=False)
+    return values
 
 
 def j0_zero(k: int) -> float:

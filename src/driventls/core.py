@@ -5,7 +5,8 @@ one drive period is T = 2*pi and every energy is measured in units of the
 drive photon energy.  The basis ordering is (|1>, |2>) = (ground, excited)
 throughout, which fixes sigma_z = |2><2| - |1><1| = diag(-1, +1).  Mixing
 conventions is the classic source of sign errors in this problem, so the
-Pauli-type operators are defined here once and imported everywhere else.
+drive and dipole operator sigma_x is defined here once and imported
+everywhere else.
 """
 
 from __future__ import annotations
@@ -44,12 +45,7 @@ def _frozen(matrix: list[list[complex]]) -> np.ndarray:
 
 
 IDENTITY = _frozen([[1, 0], [0, 1]])
-# sigma_z = |2><2| - |1><1|, diag(-1, +1) in the (ground, excited) ordering
-SIGMA_Z = _frozen([[-1, 0], [0, 1]])
-# sigma_minus = |1><2| lowers, sigma_plus = |2><1| raises
-SIGMA_MINUS = _frozen([[0, 1], [0, 0]])
-SIGMA_PLUS = _frozen([[0, 0], [1, 0]])
-# sigma_x = sigma_minus + sigma_plus, the drive coupling and dipole operator
+# sigma_x = |1><2| + |2><1|, the drive coupling and dipole operator
 SIGMA_X = _frozen([[0, 1], [1, 0]])
 
 
@@ -97,42 +93,12 @@ class SystemParams:
         """Coupling parameter zeta = 2*rabi, the Bessel argument everywhere."""
         return 2.0 * self.rabi
 
-    @property
-    def epsilon_eff(self) -> float:
-        """Diagnostic size of the perturbative parameter.
-
-        Interpolates between delta (weak drive) and delta*sqrt(2/(pi*zeta))
-        (strong drive).  Used only for tolerances and reporting, never inside
-        physics formulas.
-        """
-        if self.zeta > 0:
-            return self.delta * min(1.0, math.sqrt(2.0 / (math.pi * self.zeta)))
-        return self.delta
-
-
-def hamiltonian_at(params: SystemParams, tau: float) -> np.ndarray:
-    """Hamiltonian (delta/2)(|2><2|-|1><1|) - rabi*cos(tau)*sigma_x at phase tau.
-
-    Returns a Hermitian traceless 2x2 complex array; the diagonal is
-    (-delta/2, +delta/2) and the off-diagonal coupling is -rabi*cos(tau).
-    """
-    if not math.isfinite(tau):
-        raise DomainError(f"tau must be finite, got {tau!r}")
-    half = 0.5 * params.delta
-    coupling = -params.rabi * math.cos(tau)
-    return np.array([[-half, coupling], [coupling, half]], dtype=complex)
-
-
-def pauli_combination(az: float, ap: complex) -> np.ndarray:
-    """Hermitian matrix az*sigma_z + ap*sigma_minus + conj(ap)*sigma_plus."""
-    return np.array([[-az, ap], [np.conj(ap), az]], dtype=complex)
-
 
 def su2_exponential(az: float, ap: complex) -> np.ndarray:
-    """exp(i*(az*sigma_z + ap*sigma_minus + conj(ap)*sigma_plus)) in closed form.
+    """exp(i*M) in closed form for M = [[-az, ap], [conj(ap), az]].
 
-    For a Hermitian traceless generator M with |M| eigenvalues +-r the
-    exponential is cos(r)*I + i*sin(r)/r * M, which is exact and branch-free.
+    M is Hermitian and traceless with eigenvalues +-r, r = sqrt(az**2 + |ap|**2),
+    so the exponential is cos(r)*I + i*sin(r)/r * M, exact and branch-free.
     """
     r = math.sqrt(az * az + abs(ap) ** 2)
     c = math.cos(r)

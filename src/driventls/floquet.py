@@ -8,6 +8,8 @@ parity labels all come from one eigensolve of that operator.  Every Floquet
 mode is symmetric or antisymmetric, and the symmetric one is labeled
 mode 1.  This labeling never becomes ambiguous at crossings, unlike any
 labeling based on quasienergy ordering or on which bare state dominates.
+The closed-form modes follow the same convention, so exact and analytic
+modes pair by label.
 """
 
 from __future__ import annotations
@@ -23,9 +25,6 @@ from .propagator import PropagationConfig, half_period_propagators, propagate_gr
 # generalized-parity matrix: swaps nothing, flips the excited amplitude
 PARITY = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PARITY.setflags(write=False)
-
-# |parity overlap| below this is neither clearly symmetric nor antisymmetric
-_PARITY_MARGIN = 0.9
 
 # symmetry-operator splittings below this put both modes on the zone boundary
 _BOUNDARY_GAP = 1e-7
@@ -72,15 +71,14 @@ class FloquetMode:
     """One Floquet mode sampled over a drive period.
 
     samples[k] is the periodic part at tau = 2*pi*k/n, k = 0..n-1, unit norm
-    at every sample.  parity is "symmetric" or "antisymmetric" under the
-    generalized-parity operation; source is "exact" or "analytic".
+    at every sample.  The label carries the generalized parity: both solvers
+    build mode 1 symmetric and mode 2 antisymmetric, so modes from the two
+    are paired by label.
     """
 
     label: int
     quasienergy: float
     samples: np.ndarray
-    parity: str
-    source: str
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=complex)
@@ -92,32 +90,6 @@ class FloquetMode:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[0]
-
-
-def _parity_overlap(samples: np.ndarray) -> complex:
-    n = samples.shape[0]
-    if n % 2 != 0:
-        raise DomainError("parity classification needs an even sample count")
-    shifted = np.roll(samples, -n // 2, axis=0)
-    shifted = shifted * np.array([1.0, -1.0])
-    return complex(np.mean(np.sum(np.conj(shifted) * samples, axis=1)))
-
-
-def classify_parity(samples: np.ndarray) -> str:
-    """Classify periodic samples as symmetric or antisymmetric.
-
-    The overlap of the mode with its parity-conjugated, half-period-shifted
-    self is +1 or -1 for a clean mode; values of small magnitude mean the
-    sampled function is not a symmetry eigenstate and raise
-    ClassificationError.
-    """
-    s = _parity_overlap(np.asarray(samples, dtype=complex))
-    if abs(s) <= _PARITY_MARGIN:
-        raise ClassificationError(
-            f"parity overlap {s:.3f} has magnitude <= {_PARITY_MARGIN}; "
-            "samples are not a symmetry eigenstate"
-        )
-    return "symmetric" if s.real > 0.0 else "antisymmetric"
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -209,8 +181,8 @@ def build_modes(
     grid, estimate = propagate_grid(params, config, n_grid)
     pair, v1, v2 = _split(grid[n_grid // 2])
     modes = (
-        FloquetMode(1, pair.eps1, _mode_samples(grid, v1, pair.eps1), "symmetric", "exact"),
-        FloquetMode(2, pair.eps2, _mode_samples(grid, v2, pair.eps2), "antisymmetric", "exact"),
+        FloquetMode(1, pair.eps1, _mode_samples(grid, v1, pair.eps1)),
+        FloquetMode(2, pair.eps2, _mode_samples(grid, v2, pair.eps2)),
     )
     return FloquetSolution(modes, grid[n_grid], estimate)
 
@@ -230,66 +202,3 @@ def exact_quasienergies(params, config: PropagationConfig | None = None) -> Quas
     belongs to the symmetric mode.
     """
     return exact_quasienergy_scan(params.delta, [params.zeta], config)[0]
-
-
-@dataclass(frozen=True)
-class ModeMatch:
-    """Result of pairing one mode set against another.
-
-    pairs maps labels of the first set to labels of the second; overlaps are
-    the squared period-averaged overlaps of the matched pairs;
-    min_pointwise_fidelity is the worst instantaneous |<a|b>|^2 over both
-    pairs and all sample points.
-    """
-
-    pairs: tuple[tuple[int, int], tuple[int, int]]
-    overlaps: tuple[float, float]
-    min_pointwise_fidelity: float
-    quasienergy_gaps: tuple[float, float]
-    resolved_by: str
-    degenerate: bool
-
-
-def _averaged_overlap_sq(a: FloquetMode, b: FloquetMode) -> float:
-    inner = np.mean(np.sum(np.conj(a.samples) * b.samples, axis=1))
-    return float(abs(inner) ** 2)
-
-
-def match_modes(
-    first: tuple[FloquetMode, FloquetMode], second: tuple[FloquetMode, FloquetMode]
-) -> ModeMatch:
-    """Pair two mode sets by period-averaged overlap.
-
-    When the overlap criterion is ambiguous (the two pairings score within
-    1e-3 of each other) the parity tags decide; if those coincide too, the
-    sets are flagged degenerate and the higher-scoring overlap pairing is
-    kept.
-    """
-    if first[0].n_samples != second[0].n_samples:
-        raise DomainError("mode sets must share the same sample grid")
-    o = [[_averaged_overlap_sq(a, b) for b in second] for a in first]
-    straight = o[0][0] + o[1][1]
-    crossed = o[0][1] + o[1][0]
-    degenerate = False
-    if abs(straight - crossed) >= 1e-3:
-        use_straight = straight > crossed
-        resolved_by = "overlap"
-    elif first[0].parity != first[1].parity and second[0].parity != second[1].parity:
-        use_straight = first[0].parity == second[0].parity
-        resolved_by = "parity"
-    else:
-        use_straight = straight >= crossed
-        resolved_by = "overlap"
-        degenerate = True
-
-    idx = ((0, 0), (1, 1)) if use_straight else ((0, 1), (1, 0))
-    pairs = tuple((first[i].label, second[j].label) for i, j in idx)
-    overlaps = tuple(o[i][j] for i, j in idx)
-    fid = min(
-        float(np.min(np.abs(np.sum(np.conj(first[i].samples) * second[j].samples, axis=1)) ** 2))
-        for i, j in idx
-    )
-    gaps = tuple(
-        quasienergy_distance(first[i].quasienergy, second[j].quasienergy) for i, j in idx
-    )
-    return ModeMatch(pairs, overlaps, fid, gaps, resolved_by, degenerate)

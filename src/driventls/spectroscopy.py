@@ -122,7 +122,7 @@ def spectrum(
     if k_max >= n // 2:
         raise DomainError(f"k_max must be below n_samples/2 = {n // 2}, got {k_max}")
     pair = analytic_quasienergies(params)
-    row = bessel_row(k_max, params.zeta).values
+    row = bessel_row(k_max, params.zeta)
     ks = np.arange(-k_max, k_max + 1)
     phases = np.exp(1j * np.multiply.outer(tau_grid(n), ks))
     by_label = {m.label: m for m in modes}

@@ -253,3 +253,35 @@ def shirley_line_intensities(
                 element = np.sum(np.conj(ci[m + k]) * flipped[m])
                 out[(i, j, k)] = float(abs(dipole * element) ** 2)
     return out
+
+
+# |parity overlap| below this is neither clearly symmetric nor antisymmetric
+PARITY_MARGIN = 0.9
+
+
+def classify_parity(samples: np.ndarray) -> str:
+    """Classify periodic samples on a uniform even grid as symmetric or antisymmetric.
+
+    The period-averaged overlap of the mode with its half-period-shifted self,
+    excited amplitude sign-flipped (the generalized parity P = diag(1, -1)),
+    is +1 or -1 for a clean mode.  An odd sample count has no half-period
+    shift and raises ValueError; so does an overlap of magnitude at most
+    PARITY_MARGIN, which means the samples are not a symmetry eigenstate.
+    """
+    samples = np.asarray(samples, dtype=complex)
+    n = samples.shape[0]
+    if n % 2 != 0:
+        raise ValueError("parity classification needs an even sample count")
+    shifted = np.roll(samples, -n // 2, axis=0) * np.array([1.0, -1.0])
+    s = complex(np.mean(np.sum(np.conj(shifted) * samples, axis=1)))
+    if abs(s) <= PARITY_MARGIN:
+        raise ValueError(
+            f"parity overlap {s:.3f} has magnitude <= {PARITY_MARGIN}; "
+            "samples are not a symmetry eigenstate"
+        )
+    return "symmetric" if s.real > 0.0 else "antisymmetric"
+
+
+def averaged_overlap_sq(a: np.ndarray, b: np.ndarray) -> float:
+    """|period average of <a(tau)|b(tau)>|^2 for two modes sampled on one grid."""
+    return float(abs(np.mean(np.sum(np.conj(a) * b, axis=1))) ** 2)

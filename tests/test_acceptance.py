@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import j0_zero_oracle
+from oracles import averaged_overlap_sq, j0_zero_oracle
 
 from driventls import (
     PropagationConfig,
@@ -23,7 +23,6 @@ from driventls import (
     fold_quasienergy,
     j0_zero,
     line_intensity_analytic,
-    match_modes,
     propagate,
     series_cutoff,
     spectrum,
@@ -124,8 +123,9 @@ def test_criterion_04_mode_fidelity():
     worst = 1.0
     for zeta in (math.pi / 5, math.pi / 2, math.pi):
         p = _params(DELTA, zeta)
-        match = match_modes(build_modes(p).modes, analytic_modes(p))
-        worst = min(worst, min(match.overlaps))
+        # both solvers label the symmetric mode 1, so the modes pair by label
+        for e, a in zip(build_modes(p).modes, analytic_modes(p)):
+            worst = min(worst, averaged_overlap_sq(e.samples, a.samples))
     floor = 1.0 - 10 * DELTA**2
     _report(
         4,
@@ -251,7 +251,7 @@ def test_criterion_10_bessel_kernel():
     worst_ja = 0.0
     worst_norm = 0.0
     for zeta in np.linspace(0.0, 40.0, 81):
-        row = bessel_row(series_cutoff(zeta), zeta).values
+        row = bessel_row(series_cutoff(zeta), zeta)
         ns = np.arange(row.size)
         even = ns[2::2]
         odd = ns[1::2]

@@ -4,26 +4,27 @@ import numpy as np
 import pytest
 
 from oracles import (
+    classify_parity,
     evolution_linearized,
     fd_derivative_periodic,
     xi_a_quadrature,
     xi_s_quadrature,
 )
 
+import driventls.bessel
 from driventls import (
     DomainError,
     SystemParams,
-    alpha,
     analytic_evolution,
     analytic_floquet_state,
     analytic_modes,
     analytic_quasienergies,
     bessel_j,
-    beta_over_i,
     eta,
     j0_zero,
     phi,
     propagate,
+    su2_exponential,
     tau_grid,
     unitarity_defect,
     xi_a,
@@ -83,24 +84,6 @@ def test_xi_against_quadrature_oracle():
             assert xi_a(p, tau) == pytest.approx(xi_a_quadrature(zeta, tau), abs=1e-10)
 
 
-def test_alpha_beta_closed_forms():
-    for zeta in (0.0, 0.3, math.pi, 7.0, 20.0):
-        p = _params(0.1, zeta)
-        taus = tau_grid(64)
-        a = alpha(p, taus)
-        b = beta_over_i(p, taus)
-        j0 = bessel_j(0, zeta)
-        assert np.max(np.abs(a + j0 - np.cos(2.0 * phi(p, taus)))) <= 1e-10
-        assert np.max(np.abs(b - np.sin(2.0 * phi(p, taus)))) <= 1e-10
-
-
-def test_alpha_beta_trivial_points():
-    assert alpha(_params(0.1, 0.0), 0.77) == pytest.approx(0.0, abs=1e-14)
-    assert beta_over_i(_params(0.1, 5.0), 0.0) == pytest.approx(0.0, abs=1e-14)
-    expected = math.cos(math.pi) - J0_PI
-    assert alpha(_params(0.1, math.pi), math.pi / 2) == pytest.approx(expected, abs=1e-10)
-
-
 def test_derivative_identities():
     n = 256
     h = 2.0 * math.pi / n
@@ -108,10 +91,10 @@ def test_derivative_identities():
     for zeta in (0.8, math.pi, 5.0):
         p = _params(0.1, zeta)
         d_xi_s = fd_derivative_periodic(xi_s(p, taus), h)
-        assert np.max(np.abs(d_xi_s - 0.5 * alpha(p, taus))) <= 1e-6
+        even = np.cos(zeta * np.sin(taus)) - bessel_j(0, zeta)
+        assert np.max(np.abs(d_xi_s - 0.5 * even)) <= 1e-6
         d_xi_a = fd_derivative_periodic(xi_a(p, taus), h)
         assert np.max(np.abs(d_xi_a + 0.5 * np.sin(zeta * np.sin(taus)))) <= 1e-6
-        assert np.max(np.abs(d_xi_a + 0.5 * beta_over_i(p, taus))) <= 1e-6
 
 
 def test_half_period_symmetries():
@@ -239,6 +222,31 @@ def test_evolution_accurate_mid_period():
         assert diff <= 5 * 0.02**2
 
 
+def test_evolution_reads_two_bessel_rows(monkeypatch):
+    # one coefficient row and one J0 per call, and the same operator as the
+    # product built from the public xi_s, eta and J0, bit for bit
+    p = _params(0.3, 7.0)
+    tau = 2.2
+    d, j0 = p.delta, bessel_j(0, p.zeta)
+    ph = p.rabi * math.sin(tau)
+    frame = np.array(
+        [[math.cos(ph), 1j * math.sin(ph)], [1j * math.sin(ph), math.cos(ph)]], dtype=complex
+    )
+    mean_phase = np.diag([np.exp(0.5j * d * j0 * tau), np.exp(-0.5j * d * j0 * tau)])
+    expected = frame @ mean_phase @ su2_exponential(-d * xi_s(p, tau), d * eta(p, tau))
+    rows = []
+    original = driventls.bessel._miller_row
+
+    def counting(order_max, x):
+        rows.append(order_max)
+        return original(order_max, x)
+
+    monkeypatch.setattr(driventls.bessel, "_miller_row", counting)
+    u = analytic_evolution(p, tau)
+    assert len(rows) == 2
+    assert np.array_equal(u, expected)
+
+
 def test_linearized_evolution_close_to_exponential():
     p = _params(0.02, math.pi)
     tau = 2.0 * math.pi
@@ -254,9 +262,8 @@ def test_analytic_modes_structure():
     p = _params(0.05, math.pi)
     m1, m2 = analytic_modes(p, n_grid=128)
     assert (m1.label, m2.label) == (1, 2)
-    assert m1.parity == "symmetric"
-    assert m2.parity == "antisymmetric"
-    assert m1.source == "analytic"
+    assert classify_parity(m1.samples) == "symmetric"
+    assert classify_parity(m2.samples) == "antisymmetric"
     pair = analytic_quasienergies(p)
     assert m1.quasienergy == pair.eps1
     assert m2.quasienergy == pair.eps2

@@ -3,17 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import driventls
 from driventls import (
     IDENTITY,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
     SIGMA_X,
-    SIGMA_Z,
     DomainError,
     ParameterError,
     SystemParams,
-    hamiltonian_at,
-    pauli_combination,
     su2_exponential,
     tau_grid,
     unitarity_defect,
@@ -59,64 +55,10 @@ def test_params_immutable():
         p.delta = 0.2
 
 
-def test_epsilon_eff_regimes():
-    # weak drive: the detuning itself is the small parameter
-    assert SystemParams(delta=0.3, rabi=0.0).epsilon_eff == 0.3
-    assert SystemParams(delta=0.3, rabi=0.25).epsilon_eff == 0.3
-    # strong drive: suppressed by sqrt(2/(pi zeta))
-    p = SystemParams(delta=0.3, rabi=4.0)
-    assert p.epsilon_eff == pytest.approx(0.3 * math.sqrt(2.0 / (math.pi * 8.0)), rel=1e-14)
-
-
-def test_hamiltonian_trivial_points():
-    p = SystemParams(delta=0.1, rabi=1.0)
-    h = hamiltonian_at(p, math.pi / 2)
-    assert np.allclose(h, np.diag([-0.05, 0.05]), atol=1e-15)
-    h0 = hamiltonian_at(SystemParams(delta=0.1, rabi=0.0), 0.37)
-    assert np.allclose(h0, np.diag([-0.05, 0.05]), atol=1e-15)
-    h1 = hamiltonian_at(p, 0.0)
-    assert h1[0, 1] == pytest.approx(-1.0)
-    assert h1[1, 0] == pytest.approx(-1.0)
-    assert h1[0, 0] == pytest.approx(-0.05)
-
-
-def test_hamiltonian_hermitian_traceless_antiperiodic():
-    p = SystemParams(delta=0.37, rabi=2.1)
-    for tau in np.linspace(0.0, 2.0 * math.pi, 17):
-        h = hamiltonian_at(p, tau)
-        assert np.max(np.abs(h - h.conj().T)) <= 1e-12
-        assert abs(np.trace(h)) <= 1e-12
-        h_shift = hamiltonian_at(p, tau + math.pi)
-        assert h_shift[0, 1] == pytest.approx(-h[0, 1], abs=1e-12)
-        assert h_shift[0, 0] == h[0, 0]
-
-
-def test_hamiltonian_rejects_bad_tau():
-    p = SystemParams(delta=0.1, rabi=1.0)
-    with pytest.raises(DomainError):
-        hamiltonian_at(p, math.inf)
-
-
-def test_pauli_combination_basics():
-    assert np.allclose(pauli_combination(1.0, 0.0), np.diag([-1.0, 1.0]))
-    m = pauli_combination(0.0, 1.0)
-    assert m[0, 1] == 1.0 and m[1, 0] == 1.0
-    m2 = pauli_combination(0.3, 0.1j)
-    assert np.allclose(m2, m2.conj().T)
-
-
-def test_pauli_combination_eigenvalues():
-    az, ap = 0.7, 0.2 - 0.4j
-    evals = np.sort(np.linalg.eigvalsh(pauli_combination(az, ap)))
-    r = math.sqrt(az**2 + abs(ap) ** 2)
-    assert np.allclose(evals, [-r, r], atol=1e-14)
-
-
 def test_pauli_matrices_fixed():
-    assert np.allclose(SIGMA_Z, np.diag([-1.0, 1.0]))
-    assert np.allclose(SIGMA_MINUS + SIGMA_PLUS, SIGMA_X)
-    assert SIGMA_MINUS[0, 1] == 1.0
-    assert SIGMA_PLUS[1, 0] == 1.0
+    # sigma_x = |1><2| + |2><1| in the (ground, excited) ordering
+    assert np.array_equal(SIGMA_X, [[0.0, 1.0], [1.0, 0.0]])
+    assert not SIGMA_X.flags.writeable
 
 
 def test_constants_immutable():
@@ -127,7 +69,7 @@ def test_constants_immutable():
 def test_su2_exponential_identity_and_series():
     assert np.allclose(su2_exponential(0.0, 0.0), IDENTITY)
     az, ap = 0.4, 0.3 + 0.2j
-    m = 1j * pauli_combination(az, ap)
+    m = 1j * np.array([[-az, ap], [np.conj(ap), az]])
     ref = np.eye(2, dtype=complex)
     term = np.eye(2, dtype=complex)
     for n in range(1, 40):
@@ -151,3 +93,29 @@ def test_tau_grid():
 def test_unitarity_defect():
     assert unitarity_defect(np.eye(2, dtype=complex)) == 0.0
     assert unitarity_defect(2.0 * np.eye(2, dtype=complex)) == pytest.approx(3.0)
+
+
+REMOVED_NAMES = (
+    "BesselSeries",
+    "ModeMatch",
+    "PARITY",
+    "SIGMA_MINUS",
+    "SIGMA_PLUS",
+    "SIGMA_Z",
+    "alpha",
+    "beta_over_i",
+    "classify_parity",
+    "hamiltonian_at",
+    "match_modes",
+    "pauli_combination",
+)
+
+
+def test_public_surface():
+    # every exported name resolves, the names that only tests used stay
+    # gone, and the surface stays small
+    for name in driventls.__all__:
+        getattr(driventls, name)
+    assert not any(hasattr(driventls, name) for name in REMOVED_NAMES)
+    assert not hasattr(SystemParams, "epsilon_eff")
+    assert len(driventls.__all__) <= 40

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import shirley_modes, shirley_quasienergies
+from oracles import averaged_overlap_sq, classify_parity, shirley_modes, shirley_quasienergies
 
 import driventls.propagator
 from driventls import (
@@ -15,11 +15,9 @@ from driventls import (
     analytic_floquet_state,
     analytic_modes,
     build_modes,
-    classify_parity,
     exact_quasienergies,
     fold_quasienergy,
     j0_zero,
-    match_modes,
     one_period_propagator,
     quasienergy_distance,
     tau_grid,
@@ -71,14 +69,14 @@ def test_pair_labels():
 
 def test_mode_validation_and_immutability():
     samples = np.tile([1.0 + 0j, 0.0j], (64, 1))
-    mode = FloquetMode(1, 0.0, samples, "symmetric", "exact")
+    mode = FloquetMode(1, 0.0, samples)
     assert mode.n_samples == 64
     with pytest.raises(ValueError):
         mode.samples[0, 0] = 2.0
     with pytest.raises(DomainError):
-        FloquetMode(1, 0.0, np.zeros((64, 3), dtype=complex), "symmetric", "exact")
+        FloquetMode(1, 0.0, np.zeros((64, 3), dtype=complex))
     with pytest.raises(DomainError):
-        FloquetMode(1, 0.0, np.zeros(4, dtype=complex), "symmetric", "exact")
+        FloquetMode(1, 0.0, np.zeros(4, dtype=complex))
 
 
 def test_modes_without_detuning():
@@ -221,7 +219,7 @@ def test_classify_parity_rejects_mixture():
     p = _params(0.1, math.pi)
     m1, m2 = build_modes(p, n_grid=64).modes
     blend = (m1.samples + m2.samples) / math.sqrt(2.0)
-    with pytest.raises(ClassificationError):
+    with pytest.raises(ValueError, match="not a symmetry eigenstate"):
         classify_parity(blend)
 
 
@@ -234,15 +232,15 @@ def test_classify_parity_origin_invariance():
 
 
 def test_classify_parity_needs_even_grid():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="even sample count"):
         classify_parity(np.ones((65, 2), dtype=complex))
 
 
 def test_build_modes_zero_drive():
     p = SystemParams(delta=0.1, rabi=0.0)
     m1, m2 = build_modes(p, n_grid=64).modes
-    assert m1.parity == "symmetric" and m2.parity == "antisymmetric"
-    assert m1.source == "exact"
+    assert classify_parity(m1.samples) == "symmetric"
+    assert classify_parity(m2.samples) == "antisymmetric"
     assert m1.quasienergy == pytest.approx(-0.05, abs=1e-10)
     assert m2.quasienergy == pytest.approx(0.05, abs=1e-10)
     assert np.max(np.abs(m1.samples - np.array([1.0, 0.0]))) <= 1e-12
@@ -256,7 +254,7 @@ def test_build_modes_norms_and_orthogonality():
         assert np.max(np.abs(np.linalg.norm(m.samples, axis=1) - 1.0)) <= 1e-9
     cross = np.abs(np.sum(np.conj(m1.samples) * m2.samples, axis=1))
     assert np.max(cross) <= 1e-8
-    # the sample-overlap rule agrees with the labels from the parity sign
+    # the sample-overlap oracle agrees with the labels from the parity sign
     assert classify_parity(m1.samples) == "symmetric"
     assert classify_parity(m2.samples) == "antisymmetric"
 
@@ -275,7 +273,8 @@ def test_build_modes_weight_curve():
 def test_build_modes_at_crossing():
     p = _params(0.1, j0_zero(1))
     m1, m2 = build_modes(p, n_grid=64).modes
-    assert m1.parity != m2.parity
+    assert classify_parity(m1.samples) == "symmetric"
+    assert classify_parity(m2.samples) == "antisymmetric"
     assert abs(m1.quasienergy) <= 5 * 0.1**2
     assert abs(m2.quasienergy) <= 5 * 0.1**2
 
@@ -285,7 +284,8 @@ def test_build_modes_deep_degenerate_split():
     # zero; the symmetry operator still splits the modes
     p = _params(1e-5, j0_zero(1))
     m1, m2 = build_modes(p, n_grid=64).modes
-    assert m1.parity == "symmetric" and m2.parity == "antisymmetric"
+    assert classify_parity(m1.samples) == "symmetric"
+    assert classify_parity(m2.samples) == "antisymmetric"
     assert abs(m1.quasienergy) <= 1e-9
     assert abs(m2.quasienergy) <= 1e-9
 
@@ -322,101 +322,20 @@ def test_exact_quasienergies_match_build_modes():
     assert pair.eps2 == pytest.approx(m2.quasienergy, abs=1e-10)
 
 
-def _constant_mode(label, vec, parity, eps=0.0, n=64):
-    samples = np.tile(np.asarray(vec, dtype=complex), (n, 1))
-    return FloquetMode(label, eps, samples, parity, "exact")
-
-
-def test_match_modes_identity():
-    p = SystemParams(delta=0.1, rabi=0.0)
-    exact = build_modes(p, n_grid=64).modes
-    match = match_modes(exact, exact)
-    assert match.pairs == ((1, 1), (2, 2))
-    assert match.overlaps[0] == pytest.approx(1.0, abs=1e-12)
-    assert match.min_pointwise_fidelity == pytest.approx(1.0, abs=1e-12)
-    assert not match.degenerate
-
-
-def test_match_modes_exact_vs_analytic():
-    p = _params(0.02, math.pi / 2)
-    match = match_modes(build_modes(p, n_grid=128).modes, analytic_modes(p, n_grid=128))
-    assert match.pairs == ((1, 1), (2, 2))
-    assert min(match.overlaps) >= 1.0 - 10 * 0.02**2
-    assert match.min_pointwise_fidelity >= 1.0 - 10 * 0.02**2
-    assert max(match.quasienergy_gaps) <= 2e-3
-
-
-def test_match_modes_at_crossing_is_deterministic():
-    p = _params(0.02, j0_zero(1))
+@pytest.mark.parametrize("zeta", [math.pi / 2, j0_zero(1)], ids=["pi_half", "crossing"])
+def test_modes_pair_by_label(zeta):
+    # both solvers label the symmetric mode 1: the straight overlaps carry
+    # the first-order fidelity, and the crossed ones vanish even at the
+    # crossing, where the quasienergies meet
+    p = _params(0.02, zeta)
     exact = build_modes(p, n_grid=128).modes
     analytic = analytic_modes(p, n_grid=128)
-    match = match_modes(exact, analytic)
-    assert match.pairs == ((1, 1), (2, 2))
-    assert min(match.overlaps) >= 1.0 - 10 * 0.02**2
-    assert not match.degenerate
-
-
-def test_match_modes_crossed_pairing():
-    p = _params(0.1, math.pi)
-    m1, m2 = build_modes(p, n_grid=64).modes
-    match = match_modes((m1, m2), (m2, m1))
-    assert match.pairs == ((1, 1), (2, 2))
-    assert match.resolved_by == "overlap"
-    assert min(match.overlaps) >= 0.99
-
-
-def test_match_modes_parity_fallback():
-    inv = 1.0 / math.sqrt(2.0)
-    first = (
-        _constant_mode(1, [1.0, 0.0], "symmetric"),
-        _constant_mode(2, [0.0, 1.0], "antisymmetric"),
-    )
-    second = (
-        _constant_mode(1, [inv, inv], "symmetric"),
-        _constant_mode(2, [inv, -inv], "antisymmetric"),
-    )
-    match = match_modes(first, second)
-    assert match.resolved_by == "parity"
-    assert match.pairs == ((1, 1), (2, 2))
-    assert not match.degenerate
-    # tuple order does not matter: parity re-derives the same label pairing
-    swapped = (second[1], second[0])
-    match2 = match_modes(first, swapped)
-    assert match2.resolved_by == "parity"
-    assert match2.pairs == ((1, 1), (2, 2))
-    # labels assigned against parity do get crossed
-    mislabeled = (
-        _constant_mode(1, [inv, inv], "antisymmetric"),
-        _constant_mode(2, [inv, -inv], "symmetric"),
-    )
-    match3 = match_modes(first, mislabeled)
-    assert match3.resolved_by == "parity"
-    assert match3.pairs == ((1, 2), (2, 1))
-
-
-def test_match_modes_degenerate_flag():
-    inv = 1.0 / math.sqrt(2.0)
-    first = (
-        _constant_mode(1, [1.0, 0.0], "symmetric"),
-        _constant_mode(2, [0.0, 1.0], "symmetric"),
-    )
-    second = (
-        _constant_mode(1, [inv, inv], "symmetric"),
-        _constant_mode(2, [inv, -inv], "symmetric"),
-    )
-    match = match_modes(first, second)
-    assert match.degenerate
-    assert match.resolved_by == "overlap"
-
-
-def test_match_modes_grid_mismatch():
-    a = (
-        _constant_mode(1, [1.0, 0.0], "symmetric", n=64),
-        _constant_mode(2, [0.0, 1.0], "antisymmetric", n=64),
-    )
-    b = (
-        _constant_mode(1, [1.0, 0.0], "symmetric", n=128),
-        _constant_mode(2, [0.0, 1.0], "antisymmetric", n=128),
-    )
-    with pytest.raises(DomainError):
-        match_modes(a, b)
+    floor = 1.0 - 10 * 0.02**2
+    for e, a in zip(exact, analytic):
+        assert e.label == a.label
+        assert averaged_overlap_sq(e.samples, a.samples) >= floor
+        pointwise = np.abs(np.sum(np.conj(e.samples) * a.samples, axis=1)) ** 2
+        assert np.min(pointwise) >= floor
+        assert quasienergy_distance(e.quasienergy, a.quasienergy) <= 2e-3
+    assert averaged_overlap_sq(exact[0].samples, analytic[1].samples) <= 1e-20
+    assert averaged_overlap_sq(exact[1].samples, analytic[0].samples) <= 1e-20

@@ -33,9 +33,9 @@ def _modes(params, n_grid=128):
     return build_modes(params, n_grid=n_grid).modes
 
 
-def _constant_mode(label, vec, parity="symmetric", eps=0.0, n=64):
+def _constant_mode(label, vec, eps=0.0, n=64):
     samples = np.tile(np.asarray(vec, dtype=complex), (n, 1))
-    return FloquetMode(label, eps, samples, parity, "exact")
+    return FloquetMode(label, eps, samples)
 
 
 def _intensities(lines):
@@ -83,7 +83,7 @@ def test_dipole_matrix_element_constant_modes():
     # the full dipole strength; every replica offset averages to zero
     # exactly (roots of unity sum)
     ground = _constant_mode(1, [1.0, 0.0])
-    excited = _constant_mode(2, [0.0, 1.0], parity="antisymmetric")
+    excited = _constant_mode(2, [0.0, 1.0])
     p = _params(0.1, math.pi, dipole=2.0)
     table = _intensities(spectrum(p, (ground, excited), 3, include_forbidden=True))
     assert len(table) == 28
