@@ -103,28 +103,33 @@ def cmd_weights(config: RunConfig, zeta_list: list[float]) -> dict:
     return payload
 
 
-def _crossing(config: RunConfig, a: float, b: float, fa: float, fb: float) -> float:
-    """Zero of the parity gap eps2 - eps1, which changes sign between a and b.
+def _crossings(config: RunConfig, brackets: list[tuple[float, float, float, float]]) -> list[float]:
+    """Zeros of the parity gap eps2 - eps1, one per bracket (a, b, fa, fb) it changes sign over.
 
     Illinois regula falsi (Dowell & Jarratt, BIT 11, 168 (1971)): b is the latest solve,
     and the retained end a has its gap halved each time it survives.  Solves stay 2.5e-13
     inside the bracket, so a converged end collapses it below 1e-12 with one more solve.
+    The brackets advance in lock-step, each round's solves in one batched scan.
     """
-    best = min((abs(fa), a), (abs(fb), b))
-    while abs(b - a) >= 1e-12:
-        e = 2.5e-13 / abs(b - a)
-        c = b + (a - b) * min(max(fb / (fb - fa), e), 1.0 - e)
-        pair = exact_quasienergy_scan(config.params.delta, [c], config.propagation)[0]
-        fc = pair.eps2 - pair.eps1
-        best = min(best, (abs(fc), c))
-        if fc == 0.0:
-            break
-        if (fc > 0.0) == (fb > 0.0):
-            fa *= 0.5
-        else:
-            a, fa = b, fb
-        b, fb = c, fc
-    return best[1]
+    # per bracket: [a, b, fa, fb, (smallest |gap| so far, its zeta)]
+    states = [[a, b, fa, fb, min((abs(fa), a), (abs(fb), b))] for a, b, fa, fb in brackets]
+    active = states
+    # a search ends once its bracket is below 1e-12, or at an exact zero of the gap
+    while active := [s for s in active if s[4][0] > 0.0 and abs(s[1] - s[0]) >= 1e-12]:
+        zetas = []
+        for a, b, fa, fb, _ in active:
+            e = 2.5e-13 / abs(b - a)
+            zetas.append(b + (a - b) * min(max(fb / (fb - fa), e), 1.0 - e))
+        pairs = exact_quasienergy_scan(config.params.delta, zetas, config.propagation)
+        for state, c, pair in zip(active, zetas, pairs):
+            a, b, fa, fb, best = state
+            fc = pair.eps2 - pair.eps1
+            if (fc > 0.0) == (fb > 0.0):
+                fa *= 0.5
+            else:
+                a, fa = b, fb
+            state[:] = a, c, fa, fc, min(best, (abs(fc), c))
+    return [state[4][1] for state in states]
 
 
 def cmd_sweep(
@@ -155,15 +160,18 @@ def cmd_sweep(
     for source, pairs in (("analytic", analytic_pairs), ("exact", exact_pairs)):
         for eps in ("eps1", "eps2"):
             rows[f"{eps}_{source}"] = np.add.outer([getattr(p, eps) for p in pairs], ns).ravel()
-    crossings = []
+    crossings, brackets = [], []
     for idx in range(len(zetas) - 1):
         if gaps[idx] == 0.0:
             crossings.append(float(zetas[idx]))
         elif gaps[idx] * gaps[idx + 1] < 0.0:
-            lo, hi = float(zetas[idx]), float(zetas[idx + 1])
-            crossings.append(_crossing(config, lo, hi, gaps[idx], gaps[idx + 1]))
+            crossings.append(None)
+            brackets.append((float(zetas[idx]), float(zetas[idx + 1]), gaps[idx], gaps[idx + 1]))
     if gaps and gaps[-1] == 0.0:
         crossings.append(float(zetas[-1]))
+    # the brackets' zeros fill their places in order
+    located = iter(_crossings(config, brackets))
+    crossings = [next(located) if zeta is None else zeta for zeta in crossings]
     payload = {"command": "sweep", "params": _param_echo(config)}
     payload["zeta_min"] = float(zeta_min)
     payload["zeta_max"] = float(zeta_max)

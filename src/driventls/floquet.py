@@ -58,13 +58,6 @@ class QuasienergyPair:
         object.__setattr__(self, "eps1", float(self.eps1))
         object.__setattr__(self, "eps2", float(self.eps2))
 
-    def for_label(self, label: int) -> float:
-        if label == 1:
-            return self.eps1
-        if label == 2:
-            return self.eps2
-        raise DomainError(f"mode label must be 1 or 2, got {label!r}")
-
 
 @dataclass(frozen=True, eq=False)
 class FloquetMode:
@@ -93,13 +86,14 @@ class FloquetMode:
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
-    # largest component made real positive; ties broken toward the first
-    idx = 0 if abs(v[0]) >= abs(v[1]) else 1
-    return v * (v[idx].conjugate() / abs(v[idx]))
+    # largest component of each vector made real positive; ties broken toward the first
+    mag = np.abs(v)
+    big = np.take_along_axis(v, (mag[..., :1] < mag[..., 1:]).astype(np.intp), -1)
+    return v * (big.conj() / np.abs(big))
 
 
-def _split(half: np.ndarray) -> tuple[QuasienergyPair, np.ndarray, np.ndarray]:
-    """Quasienergies and tau = 0 vectors of both modes from U(pi, 0).
+def _split(halves: np.ndarray) -> tuple[list[QuasienergyPair], np.ndarray]:
+    """Quasienergies and tau = 0 vectors of both modes from each U(pi, 0) of a stack.
 
     Q = P U(pi, 0) squares to the monodromy operator, so its eigenvectors are
     the modes at tau = 0.  Q is unitary with det Q = -1, so its eigenvalues
@@ -110,17 +104,26 @@ def _split(half: np.ndarray) -> tuple[QuasienergyPair, np.ndarray, np.ndarray]:
     folded into the first zone.  The two eigenvalues stay apart through
     every crossing and meet only on the zone boundary eps = 1/2, where
     neither mode has a definite parity.
+
+    Returns one pair per matrix and the (m, 2, 2) vectors: [k, i - 1] is the
+    vector of mode i from halves[k].  The first matrix with both modes on the
+    zone boundary raises ClassificationError.
     """
-    q = PARITY @ half
-    values, vectors = np.linalg.eigh(0.5 * (q + q.conj().T))
-    if values[1] - values[0] < _BOUNDARY_GAP:
+    q = PARITY @ halves
+    values, vectors = np.linalg.eigh(0.5 * (q + np.conj(q).swapaxes(-1, -2)))
+    boundary = values[values[:, 1] - values[:, 0] < _BOUNDARY_GAP]
+    if boundary.size:
+        low, high = boundary[0]
         raise ClassificationError(
             "both modes sit on the zone boundary eps = 1/2, where parity does "
-            f"not split them (symmetry eigenvalues {values[0]:.3e}, {values[1]:.3e})"
+            f"not split them (symmetry eigenvalues {low:.3e}, {high:.3e})"
         )
-    v1, v2 = vectors[:, 1], vectors[:, 0]
-    eps = (fold_quasienergy(-np.angle(np.conj(v) @ q @ v) / math.pi) for v in (v1, v2))
-    return QuasienergyPair(*eps), _fix_phase(v1), _fix_phase(v2)
+    # eigh sorts ascending: the positive eigenvalue's vector, mode 1, is the last column
+    v = vectors[..., ::-1].swapaxes(-1, -2)
+    overlap = np.conj(v)[..., None, :] @ q[:, None] @ v[..., None]
+    eps = -np.angle(overlap[..., 0, 0]) / math.pi
+    pairs = [QuasienergyPair(*map(fold_quasienergy, row)) for row in eps.tolist()]
+    return pairs, _fix_phase(v)
 
 
 def _mode_samples(grid: np.ndarray, eigvec: np.ndarray, quasienergy: float) -> np.ndarray:
@@ -179,7 +182,7 @@ def build_modes(
             f"got {n_grid!r}"
         )
     grid, estimate = propagate_grid(params, config, n_grid)
-    pair, v1, v2 = _split(grid[n_grid // 2])
+    (pair,), ((v1, v2),) = _split(grid[None, n_grid // 2])
     modes = (
         FloquetMode(1, pair.eps1, _mode_samples(grid, v1, pair.eps1)),
         FloquetMode(2, pair.eps2, _mode_samples(grid, v2, pair.eps2)),
@@ -192,7 +195,7 @@ def exact_quasienergy_scan(
 ) -> list[QuasienergyPair]:
     """exact_quasienergies at every drive strength in zetas, from one batched propagation."""
     halves, _ = half_period_propagators(delta, np.asarray(zetas, dtype=float) / 2.0, config)
-    return [_split(half)[0] for half in halves]
+    return _split(halves)[0]
 
 
 def exact_quasienergies(params, config: PropagationConfig | None = None) -> QuasienergyPair:

@@ -25,8 +25,9 @@ TWO_PI = 2.0 * math.pi
 # largest step-halving error estimate a returned propagator may carry
 _ERROR_BOUND = 1e-7
 
-# bytes of fine-run steps per batch of half_period_propagators (1 << 21 ran slower)
-_BATCH_BYTES = 1 << 19
+# bytes of fine-run steps per batch of half_period_propagators: 8 drive strengths
+# at the default step count; 1 << 17 and 1 << 19 ran slower, and 1 << 19 peaked higher in memory
+_BATCH_BYTES = 1 << 18
 
 # distance of the two Gauss-Legendre nodes from the step midpoint, in steps
 _NODE = math.sqrt(3.0) / 6.0
@@ -57,9 +58,22 @@ DEFAULT_CONFIG = PropagationConfig()
 
 
 def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """later @ earlier for stacks of SU(2) pairs of one shape."""
     a2, b2 = later[..., 0], later[..., 1]
     a1, b1 = earlier[..., 0], earlier[..., 1]
-    return np.stack((a2 * a1 - b2 * b1.conj(), a2 * b1 + b2 * a1.conj()), axis=-1)
+    out = np.empty(later.shape, dtype=complex)
+    # [a2 a1 - b2 conj(b1), a2 b1 + b2 conj(a1)].  Each product goes to a contiguous array
+    # apart from its operands, which stay in this order: numpy picks its complex-product
+    # loop, and so the last bit, by operand order, layout and overlap
+    conj = np.conjugate(b1)
+    right = b2 * conj
+    left = a2 * a1
+    np.subtract(left, right, out=out[..., 0])
+    np.conjugate(a1, out=conj)
+    np.multiply(b2, conj, out=right)
+    np.multiply(a2, b1, out=left)
+    np.add(left, right, out=out[..., 1])
+    return out
 
 
 def _steps(delta: float, rabi, tau0: float, h: float, n: int) -> np.ndarray:
@@ -72,9 +86,31 @@ def _steps(delta: float, rabi, tau0: float, h: float, n: int) -> np.ndarray:
     gz = 0.5 * delta * h
     gx = -0.5 * rabi * h * (c1 + c2)
     gy = _NODE * h * gz * rabi * (c1 - c2)
-    r = np.sqrt(gz * gz + gx * gx + gy * gy)
-    s = np.sinc(r / math.pi)
-    return np.stack((np.cos(r) + 1j * s * gz, -s * (gy + 1j * gx)), axis=-1)
+    r = gx * gx
+    r += gz * gz
+    r += gy * gy
+    np.sqrt(r, out=r)
+    # s = np.sinc(r / pi) with fewer temporaries: sin(x) / x for x = pi * (r / pi),
+    # a zero x replaced by the float epsilon
+    x = r / math.pi
+    x *= math.pi
+    if not x.all():
+        x[x == 0.0] = np.finfo(float).eps
+    s = np.divide(np.sin(x), x, out=x)
+    if not (gz and gx.all() and gy.all() and s.min() > 0.5):
+        # a zero factor (zeta = 0, delta = 0) leaves the signed zeros of the
+        # complex expression, which the printed sign of a quasienergy can follow
+        return np.stack((np.cos(r) + 1j * s * gz, -s * (gy + 1j * gx)), axis=-1)
+    # the pair (cos r + i s gz, -s gy - i s gx), written through its float view;
+    # with s > 1/2 no product of these nonzero factors rounds to a zero
+    out = np.empty(r.shape + (2,), dtype=complex)
+    parts = out.view(float)
+    np.multiply(s, gz, out=parts[..., 1])
+    np.negative(s, out=s)
+    np.multiply(s, gy, out=parts[..., 2])
+    np.multiply(s, gx, out=parts[..., 3])
+    parts[..., 0] = np.cos(r, out=gx)  # gx is spent; its buffer takes cos r
+    return out
 
 
 def _product(u: np.ndarray) -> np.ndarray:
@@ -82,7 +118,7 @@ def _product(u: np.ndarray) -> np.ndarray:
     while u.shape[-2] > 1:
         even = u.shape[-2] // 2 * 2
         pairs = _compose(u[..., 1:even:2, :], u[..., 0:even:2, :])
-        u = np.concatenate((pairs, u[..., even:, :]), axis=-2)
+        u = pairs if even == u.shape[-2] else np.concatenate((pairs, u[..., even:, :]), axis=-2)
     return u[..., 0, :]
 
 
@@ -205,16 +241,20 @@ def half_period_propagators(
     config = config or DEFAULT_CONFIG
     rabis = np.asarray(rabis, dtype=float).reshape(-1)
     n = config.steps_per_period // 4
+    h = 0.5 * math.pi / n
     batch = max(1, _BATCH_BYTES // (32 * n))
     halves, errors = [], []
     for chunk in np.split(rabis, range(batch, rabis.size, batch)):
-        runs = []
-        for k in (n, n // 2):
-            u = _product(_steps(delta, chunk[:, None], 0.0, 0.5 * math.pi / k, k))
-            # P U^T P is the pair (a, conj(b))
-            runs.append(_compose(np.stack((u[..., 0], u[..., 1].conj()), axis=-1), u))
+        # the fine run's first tree level leaves as many factors as the half-step run
+        # has steps, so the rest of both trees is one product over stacked rows
+        fine = _steps(delta, chunk[:, None], 0.0, h, n)
+        fine = _compose(fine[:, 1::2], fine[:, ::2])
+        u = _product(np.concatenate((fine, _steps(delta, chunk[:, None], 0.0, 2.0 * h, n // 2))))
+        # P U^T P is the pair (a, conj(b))
+        runs = np.split(_compose(np.stack((u[..., 0], u[..., 1].conj()), axis=-1), u), 2)
         estimates = np.max(np.abs(runs[0] - runs[1]), axis=-1) / 15.0
-        for rabi, estimate in zip(chunk, estimates):
+        over = ~(estimates <= _ERROR_BOUND)
+        for rabi, estimate in zip(chunk[over], estimates[over]):
             _guard(estimate, f"at zeta = {2.0 * rabi:.17g} with {4 * n} steps per period")
         halves.append(runs[0])
         errors.append(estimates)

@@ -152,19 +152,44 @@ def test_sweep_crossings_match_shirley(capsys, delta):
 
 def test_sweep_crossings_take_few_solves(monkeypatch, capsys):
     # the 121 grid points come from one batched scan; every further Floquet
-    # solve is spent locating the two crossings
-    solves = []
-    original = driventls.floquet._split
+    # solve is spent locating the two crossings, which advance in lock-step
+    # with one scan per round
+    solves, scans = [], []
+    split, scan = driventls.floquet._split, driventls.cli.exact_quasienergy_scan
 
-    def counting(half):
-        solves.append(half)
-        return original(half)
+    def counting_split(halves):
+        solves.extend(halves)
+        return split(halves)
 
-    monkeypatch.setattr(driventls.floquet, "_split", counting)
+    def counting_scan(delta, zetas, config=None):
+        scans.append(len(zetas))
+        return scan(delta, zetas, config)
+
+    monkeypatch.setattr(driventls.floquet, "_split", counting_split)
+    monkeypatch.setattr(driventls.cli, "exact_quasienergy_scan", counting_scan)
     code, out, _ = _run(capsys, ["sweep", "--format", "json"])
     assert code == 0
     assert len(json.loads(out)["crossings"]) == 2
     assert len(solves) - 121 <= 24
+    assert scans[0] == 121 and len(scans) <= 6
+
+
+def test_lock_step_crossings_match_one_bracket_sweeps(capsys):
+    # four brackets solved together give, float for float, the crossings of
+    # four sweeps that each hold one of them
+    code, out, _ = _run(capsys, ["sweep", "--zeta-max", "12", "--zeta-steps", "241", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    crossings = payload["crossings"]
+    assert len(crossings) == 4
+    zetas = sorted({row["zeta"] for row in payload["rows"]})
+    assert len(zetas) == 241
+    for crossing in crossings:
+        k = max(i for i, zeta in enumerate(zetas) if zeta <= crossing)
+        narrow = ["sweep", "--zeta-min", repr(zetas[k]), "--zeta-max", repr(zetas[k + 1])]
+        code, out, _ = _run(capsys, narrow + ["--zeta-steps", "2", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["crossings"] == [crossing]
 
 
 def test_byte_identical_output(tmp_path, capsys):

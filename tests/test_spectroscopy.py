@@ -155,8 +155,9 @@ def test_transition_frequency_uses_given_pair():
     # positions come from the first-order quasienergy pair, not the modes
     p = _params(0.1, math.pi)
     pair = analytic_quasienergies(p)
+    levels = (pair.eps1, pair.eps2)
     for line in spectrum(p, _modes(p), 3):
-        signed = pair.for_label(line.j) - pair.for_label(line.i) + line.k
+        signed = levels[line.j - 1] - levels[line.i - 1] + line.k
         assert line.frequency == abs(signed)
         assert line.direction == (signed > 0) - (signed < 0)
 
@@ -250,6 +251,7 @@ def test_spectrum_metadata_matches_rules(delta, zeta):
     # per-line rules and come out as plain Python values in sorted order
     p = _params(delta, zeta)
     pair = analytic_quasienergies(p)
+    levels = (pair.eps1, pair.eps2)
     lines = spectrum(p, _modes(p), 9, include_forbidden=True)
     assert len(lines) == 4 * 19
     for line in lines:
@@ -259,7 +261,7 @@ def test_spectrum_metadata_matches_rules(delta, zeta):
         assert type(line.direction) is int
         assert line.forbidden == is_forbidden(line.i, line.j, line.k)
         assert line.line_class == line_class(line.i, line.j, line.k)
-        signed = pair.for_label(line.j) - pair.for_label(line.i) + line.k
+        signed = levels[line.j - 1] - levels[line.i - 1] + line.k
         assert line.direction == (signed > 0) - (signed < 0)
         assert line.frequency == abs(signed)
     keys = [(line.frequency, line.k, line.i, line.j) for line in lines]
