@@ -55,6 +55,18 @@ def _xi_a_from_row(row: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.cos(np.multiply.outer(t, ns)) @ (row[ns] / ns)
 
 
+def _grid_series(row: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """xi_s and xi_a at tau_grid(n) from one inverse FFT: xi_a + i xi_s = sum c_k e^{i k tau},
+    c_{+-k} = J_k / 2k for odd k and +-J_k / 2k for even k, each read at k mod n.  Sampled
+    harmonics alias, so a row past n / 2 folds onto the grid and still equals the direct sum."""
+    ns = np.arange(1, row.size)
+    half = row[1:] / ns / 2.0
+    c = np.bincount(ns % n, half, n) + np.bincount(-ns % n, np.where(ns % 2, half, -half), n)
+    # numpy.fft loads on first use, so importing the package does not pay for it
+    z = np.fft.ifft(c, norm="forward")
+    return z.imag, z.real
+
+
 def xi_s(params: SystemParams, tau):
     """Even-harmonic series sum_{n>=1} J_2n(zeta) sin(2n tau)/(2n).
 
@@ -98,12 +110,12 @@ def analytic_quasienergies(params: SystemParams) -> QuasienergyPair:
 
 
 def _raw_states(
-    params: SystemParams, row: np.ndarray, t: np.ndarray
+    params: SystemParams, row: np.ndarray, t: np.ndarray, series=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalised first-order spinors of mode 1 and mode 2 at the phases t."""
+    """Unnormalised first-order spinors of mode 1 and mode 2 at the phases t; series is
+    (xi_s, xi_a) at t, by default their direct sums."""
     ph = params.rabi * np.sin(t)
-    xs = _xi_s_from_row(row, t)
-    xa = _xi_a_from_row(row, t)
+    xs, xa = series or (_xi_s_from_row(row, t), _xi_a_from_row(row, t))
     c, s = np.cos(ph), np.sin(ph)
     d = params.delta
     u = xs * c - xa * s
@@ -113,10 +125,11 @@ def _raw_states(
     return mode1, mode2
 
 
-def _states(params: SystemParams, t: np.ndarray) -> list[np.ndarray]:
-    """Both first-order modes at the phases t from one Bessel row, phase-anchored at tau = 0."""
+def _states(params: SystemParams, t: np.ndarray, on_grid: bool = False) -> list[np.ndarray]:
+    """Both first-order modes at the phases t from one Bessel row, phase-anchored at tau = 0;
+    on_grid means t = tau_grid(t.size), where the series come from one inverse FFT."""
     row = _coefficient_row(params)
-    raw = _raw_states(params, row, t)
+    raw = _raw_states(params, row, t, _grid_series(row, t.size) if on_grid else None)
     zero = _raw_states(params, row, np.zeros(1))
     states = []
     for out, anchor in zip(raw, zero):
@@ -197,5 +210,5 @@ def analytic_modes(params: SystemParams, n_grid: int = 512) -> tuple[FloquetMode
     if not isinstance(n_grid, (int, np.integer)) or n_grid < 64 or n_grid % 2 != 0:
         raise DomainError(f"n_grid must be an even integer >= 64, got {n_grid!r}")
     pair = analytic_quasienergies(params)
-    state1, state2 = _states(params, tau_grid(n_grid))
+    state1, state2 = _states(params, tau_grid(n_grid), on_grid=True)
     return FloquetMode(1, pair.eps1, state1), FloquetMode(2, pair.eps2, state2)

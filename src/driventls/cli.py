@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ import numpy as np
 
 from .analytic import analytic_modes, analytic_quasienergies
 from .core import DomainError, DrivenTLSError, SystemParams, tau_grid, unitarity_defect
-from .floquet import build_modes, exact_quasienergy_scan, quasienergy_distance
+from .floquet import build_mode_scan, build_modes, exact_quasienergy_scan, quasienergy_distance
 from .propagator import PropagationConfig
 from .spectroscopy import spectrum
 
@@ -35,6 +36,10 @@ _THRESHOLDS = {
     "intensity_rel_error": 0.2,
     "unitarity_drift_per_step": 1e-10,
 }
+
+# the columns of a validate check between its zeta and its overall pass
+_METRICS = ("quasienergy_gap", "min_mode_fidelity", "max_forbidden_leakage", "max_intensity_rel_error", "unitarity_drift")
+_GATES = ("pass_quasienergy", "pass_fidelity", "pass_selection_rules", "pass_intensities", "pass_unitarity")
 
 _FORMATS = ("csv", "json")
 
@@ -69,6 +74,14 @@ def _param_echo(config: RunConfig) -> dict:
     }
 
 
+def _exact_solutions(config: RunConfig, zeta_list: list[float]) -> list:
+    """build_modes at every zeta from one batched propagation, or the error of each zeta."""
+    try:
+        return build_mode_scan(config.params.delta, zeta_list, config.propagation, config.n_grid)
+    except DrivenTLSError as exc:  # a bad grid, which refuses every zeta
+        return [exc] * len(zeta_list)
+
+
 def cmd_weights(config: RunConfig, zeta_list: list[float]) -> dict:
     """Bare-state weights of both modes over one period, per drive strength.
 
@@ -78,12 +91,11 @@ def cmd_weights(config: RunConfig, zeta_list: list[float]) -> dict:
     if not zeta_list:
         raise DomainError("zeta list must be non-empty")
     blocks = []  # (zeta, mode label, source, samples) per mode
-    for zeta in zeta_list:
+    for zeta, solution in zip(zeta_list, _exact_solutions(config, zeta_list)):
         params = config.at_zeta(zeta)
-        sources = (
-            ("exact", build_modes(params, config.propagation, config.n_grid).modes),
-            ("analytic", analytic_modes(params, config.n_grid)),
-        )
+        if isinstance(solution, DrivenTLSError):
+            raise solution
+        sources = (("exact", solution.modes), ("analytic", analytic_modes(params, config.n_grid)))
         for source, modes in sources:
             for mode in modes:
                 blocks.append((float(zeta), mode.label, source, mode.samples))
@@ -199,9 +211,10 @@ def cmd_spectrum(config: RunConfig, k_max: int, include_forbidden: bool) -> dict
     return payload
 
 
-def _validate_one(config: RunConfig, zeta: float) -> dict:
+def _validate_one(config: RunConfig, zeta: float, solution) -> dict:
     params = config.at_zeta(zeta)
-    solution = build_modes(params, config.propagation, config.n_grid)
+    if isinstance(solution, DrivenTLSError):
+        raise solution
     exact = solution.modes
     analytic = analytic_modes(params, config.n_grid)
 
@@ -229,26 +242,19 @@ def _validate_one(config: RunConfig, zeta: float) -> dict:
 
     drift = unitarity_defect(solution.monodromy) / config.propagation.steps_per_period
 
-    passes = {
-        "pass_quasienergy": gap <= _THRESHOLDS["quasienergy_gap"],
-        "pass_fidelity": fidelity >= _THRESHOLDS["min_mode_fidelity"],
-        "pass_selection_rules": leakage <= _THRESHOLDS["forbidden_leakage_per_mu2"],
-        "pass_intensities": intensities_ok
-        and rel_error <= _THRESHOLDS["intensity_rel_error"],
-        "pass_unitarity": drift <= _THRESHOLDS["unitarity_drift_per_step"],
-    }
-    report = {
-        "zeta": float(zeta),
-        "quasienergy_gap": gap,
-        "min_mode_fidelity": fidelity,
-        "max_forbidden_leakage": leakage,
-        "max_intensity_rel_error": rel_error,
-        "unitarity_drift": drift,
-    }
-    report.update(passes)
-    report["pass"] = all(passes.values())
-    report["error"] = None
-    return report
+    passes = (
+        gap <= _THRESHOLDS["quasienergy_gap"],
+        fidelity >= _THRESHOLDS["min_mode_fidelity"],
+        leakage <= _THRESHOLDS["forbidden_leakage_per_mu2"],
+        intensities_ok and rel_error <= _THRESHOLDS["intensity_rel_error"],
+        drift <= _THRESHOLDS["unitarity_drift_per_step"],
+    )
+    return _check(zeta, (gap, fidelity, leakage, rel_error, drift), passes, None)
+
+
+def _check(zeta: float, metrics: tuple, passes: tuple, error: str | None) -> dict:
+    check = {"zeta": float(zeta), **dict(zip(_METRICS, metrics)), **dict(zip(_GATES, passes))}
+    return {**check, "pass": all(passes), "error": error}
 
 
 def cmd_validate(config: RunConfig, zeta_list: list[float]) -> dict:
@@ -262,27 +268,11 @@ def cmd_validate(config: RunConfig, zeta_list: list[float]) -> dict:
     if not zeta_list:
         raise DomainError("zeta list must be non-empty")
     checks = []
-    for zeta in zeta_list:
+    for zeta, solution in zip(zeta_list, _exact_solutions(config, zeta_list)):
         try:
-            checks.append(_validate_one(config, zeta))
+            checks.append(_validate_one(config, zeta, solution))
         except DrivenTLSError as exc:
-            checks.append(
-                {
-                    "zeta": float(zeta),
-                    "quasienergy_gap": None,
-                    "min_mode_fidelity": None,
-                    "max_forbidden_leakage": None,
-                    "max_intensity_rel_error": None,
-                    "unitarity_drift": None,
-                    "pass_quasienergy": False,
-                    "pass_fidelity": False,
-                    "pass_selection_rules": False,
-                    "pass_intensities": False,
-                    "pass_unitarity": False,
-                    "pass": False,
-                    "error": str(exc),
-                }
-            )
+            checks.append(_check(zeta, (None,) * len(_METRICS), (False,) * len(_GATES), str(exc)))
     # a column holding None (a refused zeta) has no numpy type and stays a list
     columns = {key: [check[key] for check in checks] for key in checks[0]}
     payload = {"command": "validate", "params": _param_echo(config)}
@@ -412,7 +402,9 @@ def _grid_size(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main call and kept: parse_args reads no state of earlier calls
     parser = argparse.ArgumentParser(
         prog="driventls",
         description=(

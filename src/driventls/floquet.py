@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ClassificationError, DomainError, tau_grid
-from .propagator import PropagationConfig, half_period_propagators, propagate_grid
+from .propagator import PropagationConfig, grid_propagators, half_period_propagators, propagate_grid
 
 # generalized-parity matrix: swaps nothing, flips the excited amplitude
 PARITY = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -105,32 +105,34 @@ def _split(halves: np.ndarray) -> tuple[list[QuasienergyPair], np.ndarray]:
     every crossing and meet only on the zone boundary eps = 1/2, where
     neither mode has a definite parity.
 
-    Returns one pair per matrix and the (m, 2, 2) vectors: [k, i - 1] is the
-    vector of mode i from halves[k].  The first matrix with both modes on the
-    zone boundary raises ClassificationError.
+    Returns per matrix its pair, or the ClassificationError of a matrix with
+    both modes on the zone boundary, and the (m, 2, 2) vectors: [k, i - 1] is
+    the vector of mode i from halves[k].
     """
     q = PARITY @ halves
     values, vectors = np.linalg.eigh(0.5 * (q + np.conj(q).swapaxes(-1, -2)))
-    boundary = values[values[:, 1] - values[:, 0] < _BOUNDARY_GAP]
-    if boundary.size:
-        low, high = boundary[0]
-        raise ClassificationError(
-            "both modes sit on the zone boundary eps = 1/2, where parity does "
-            f"not split them (symmetry eigenvalues {low:.3e}, {high:.3e})"
-        )
     # eigh sorts ascending: the positive eigenvalue's vector, mode 1, is the last column
     v = vectors[..., ::-1].swapaxes(-1, -2)
     overlap = np.conj(v)[..., None, :] @ q[:, None] @ v[..., None]
     eps = -np.angle(overlap[..., 0, 0]) / math.pi
-    pairs = [QuasienergyPair(*map(fold_quasienergy, row)) for row in eps.tolist()]
+    pairs = [
+        ClassificationError(
+            "both modes sit on the zone boundary eps = 1/2, where parity does "
+            f"not split them (symmetry eigenvalues {low:.3e}, {high:.3e})"
+        )
+        if high - low < _BOUNDARY_GAP
+        else QuasienergyPair(*map(fold_quasienergy, row))
+        for row, (low, high) in zip(eps.tolist(), values.tolist())
+    ]
     return pairs, _fix_phase(v)
 
 
-def _mode_samples(grid: np.ndarray, eigvec: np.ndarray, quasienergy: float) -> np.ndarray:
-    n = grid.shape[0] - 1
-    taus = tau_grid(n)
-    phases = np.exp(1j * quasienergy * taus)
-    return phases[:, None] * (grid[:n] @ eigvec)
+def _raise_first(entries: list) -> list:
+    """entries, unless one is an error: then the first error is raised."""
+    for entry in entries:
+        if isinstance(entry, Exception):
+            raise entry
+    return entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,6 +154,32 @@ class FloquetSolution:
         object.__setattr__(self, "monodromy", monodromy)
 
 
+def _check_grid(n_grid, config: PropagationConfig) -> None:
+    power_of_two = isinstance(n_grid, (int, np.integer)) and n_grid > 0 and not n_grid & (n_grid - 1)
+    if not (power_of_two and 64 <= n_grid <= config.steps_per_period):
+        raise DomainError(
+            f"n_grid must be a power of two with 64 <= n_grid <= steps_per_period, got {n_grid!r}"
+        )
+
+
+def _solutions(grids: np.ndarray, estimates) -> list:
+    """FloquetSolution, or the ClassificationError of its U(pi, 0), per propagated grid."""
+    n = grids.shape[1] - 1
+    taus = tau_grid(n)
+    solutions = []
+    for grid, estimate, pair, vectors in zip(grids, estimates, *_split(grids[:, n // 2])):
+        if isinstance(pair, ClassificationError):
+            solutions.append(pair)
+            continue
+        # mode i at tau_k is e^{i eps_i tau_k} U(tau_k, 0) v_i
+        modes = tuple(
+            FloquetMode(label, eps, np.exp(1j * eps * taus)[:, None] * (grid[:n] @ v))
+            for label, eps, v in zip((1, 2), (pair.eps1, pair.eps2), vectors)
+        )
+        solutions.append(FloquetSolution(modes, grid[n], float(estimate)))
+    return solutions
+
+
 def build_modes(
     params,
     config: PropagationConfig | None = None,
@@ -168,26 +196,26 @@ def build_modes(
     Returns:
         FloquetSolution from a single propagation.  Mode 1 is the symmetric
         mode; mode samples are unit norm at every grid point and satisfy the
-        phase convention at tau = 0.
+        phase convention at tau = 0.  build_mode_scan gives the same solution
+        at many drive strengths from one batched propagation.
     """
     config = config or PropagationConfig()
-    if (
-        not isinstance(n_grid, (int, np.integer))
-        or n_grid < 64
-        or (n_grid & (n_grid - 1)) != 0
-        or n_grid > config.steps_per_period
-    ):
-        raise DomainError(
-            "n_grid must be a power of two with 64 <= n_grid <= steps_per_period, "
-            f"got {n_grid!r}"
-        )
+    _check_grid(n_grid, config)
     grid, estimate = propagate_grid(params, config, n_grid)
-    (pair,), ((v1, v2),) = _split(grid[None, n_grid // 2])
-    modes = (
-        FloquetMode(1, pair.eps1, _mode_samples(grid, v1, pair.eps1)),
-        FloquetMode(2, pair.eps2, _mode_samples(grid, v2, pair.eps2)),
-    )
-    return FloquetSolution(modes, grid[n_grid], estimate)
+    return _raise_first(_solutions(grid[None], [estimate]))[0]
+
+
+def build_mode_scan(
+    delta: float, zetas, config: PropagationConfig | None = None, n_grid: int = 512
+) -> list:
+    """build_modes at every drive strength in zetas, from one batched propagation: per zeta
+    its FloquetSolution, or the error build_modes raises for it.  Only a bad n_grid raises."""
+    config = config or PropagationConfig()
+    _check_grid(n_grid, config)
+    grids, estimates, refusals = grid_propagators(delta, np.asarray(zetas, float) / 2.0, config, n_grid)
+    kept = [refusal is None for refusal in refusals]
+    solved = iter(_solutions(grids[kept], estimates[kept]))
+    return [next(solved) if refusal is None else refusal for refusal in refusals]
 
 
 def exact_quasienergy_scan(
@@ -195,7 +223,7 @@ def exact_quasienergy_scan(
 ) -> list[QuasienergyPair]:
     """exact_quasienergies at every drive strength in zetas, from one batched propagation."""
     halves, _ = half_period_propagators(delta, np.asarray(zetas, dtype=float) / 2.0, config)
-    return _split(halves)[0]
+    return _raise_first(_split(halves)[0])
 
 
 def exact_quasienergies(params, config: PropagationConfig | None = None) -> QuasienergyPair:

@@ -13,6 +13,7 @@ error and must stay below a fixed bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,8 +26,9 @@ TWO_PI = 2.0 * math.pi
 # largest step-halving error estimate a returned propagator may carry
 _ERROR_BOUND = 1e-7
 
-# bytes of fine-run steps per batch of half_period_propagators: 8 drive strengths
-# at the default step count; 1 << 17 and 1 << 19 ran slower, and 1 << 19 peaked higher in memory
+# bytes of steps held at once: per batch of drive strengths in half_period_propagators
+# (8 at the default step count), per time block in the full-period route; in sweeps
+# 1 << 17 and 1 << 19 ran slower, and 1 << 19 peaked higher in memory
 _BATCH_BYTES = 1 << 18
 
 # distance of the two Gauss-Legendre nodes from the step midpoint, in steps
@@ -76,11 +78,20 @@ def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
     return out
 
 
-def _steps(delta: float, rabi, tau0: float, h: float, n: int) -> np.ndarray:
-    """The n Magnus steps of width h from tau0, as SU(2) pairs; (m, 1) rabi gives m rows."""
+@functools.lru_cache(maxsize=4)
+def _nodes(tau0: float, h: float, n: int) -> np.ndarray:
+    """cos tau at the first and the second Gauss-Legendre node of the n steps of width h from
+    tau0, read-only: every batch and every call with these steps reads the same two rows."""
     mid = tau0 + h * (np.arange(n) + 0.5)
-    c1 = np.cos(mid - _NODE * h)
-    c2 = np.cos(mid + _NODE * h)
+    rows = np.cos(mid + np.array([[-_NODE], [_NODE]]) * h)
+    rows.setflags(write=False)
+    return rows
+
+
+def _steps(delta: float, rabi, tau0: float, h: float, n: int, block=slice(None)) -> np.ndarray:
+    """The n Magnus steps of width h from tau0, or the slice block of them, as SU(2) pairs;
+    (m, 1) rabi gives m rows."""
+    c1, c2 = _nodes(tau0, h, n)[:, block]
     # exp(-i (gz sigma_z + gx sigma_x + gy sigma_y)): gz and gx average H over
     # the step, gy is the commutator of H at the two nodes
     gz = 0.5 * delta * h
@@ -123,42 +134,53 @@ def _product(u: np.ndarray) -> np.ndarray:
 
 
 def _prefix(blocks: np.ndarray) -> np.ndarray:
-    """Running products B_k ... B_1 for k = 1..n, by doubling scan."""
+    """Running products B_k ... B_1 for k = 1..n over axis -2, by doubling scan."""
     shift = 1
-    while shift < blocks.shape[0]:
-        blocks = np.concatenate((blocks[:shift], _compose(blocks[shift:], blocks[:-shift])))
+    while shift < blocks.shape[-2]:
+        later = _compose(blocks[..., shift:, :], blocks[..., :-shift, :])
+        blocks = np.concatenate((blocks[..., :shift, :], later), axis=-2)
         shift *= 2
     return blocks
 
 
-def _evolve(params, tau0: float, span: float, n_steps: int, n_out: int) -> np.ndarray:
-    """U(tau0 + span*k/n_out, tau0), k = 0..n_out, as SU(2) pairs; n_out | n_steps."""
-    steps = _steps(params.delta, params.rabi, tau0, span / n_steps, n_steps)
-    blocks = _product(steps.reshape(n_out, n_steps // n_out, 2))
-    return np.concatenate((np.array([[1.0, 0.0]], dtype=complex), _prefix(blocks)))
+def _evolve(delta: float, rabis, tau0: float, span: float, n_steps: int, n_out: int) -> np.ndarray:
+    """U(tau0 + span*k/n_out, tau0), k = 0..n_out, as SU(2) pairs of shape (m, n_out + 1, 2)
+    for m rabis; n_out | n_steps.  The steps of all rabis are built and multiplied one time
+    block of whole output intervals at a time: _BATCH_BYTES of steps, or one interval."""
+    sub = n_steps // n_out
+    per = sub * max(1, _BATCH_BYTES // (32 * sub * rabis.size))
+    blocks = []
+    for first in range(0, n_steps, per):
+        steps = _steps(delta, rabis[:, None], tau0, span / n_steps, n_steps, slice(first, first + per))
+        blocks.append(_product(steps.reshape(rabis.size, steps.shape[-2] // sub, sub, 2)))
+    start = np.broadcast_to(np.array([1.0, 0.0], dtype=complex), (rabis.size, 1, 2))
+    return np.concatenate((start, _prefix(np.concatenate(blocks, axis=-2))), axis=-2)
 
 
-def _checked(params, tau0: float, span: float, n_steps: int, n_out: int):
-    """_evolve with n_steps (even) and its step-halving error estimate.
+def _checked(delta: float, rabis, tau0: float, span: float, n_steps: int, n_out: int):
+    """_evolve with n_steps (even) at every Rabi amplitude, with the step-halving error
+    estimate of each and its AccuracyError, or None; nothing is raised.
 
     The estimate is the largest difference to the half-step run over every
     returned point that run also reaches: all of them when each output
     interval holds an even step count, every second one otherwise.
     """
-    fine = _evolve(params, tau0, span, n_steps, n_out)
     stride = 1 if (n_steps // n_out) % 2 == 0 else 2
-    coarse = _evolve(params, tau0, span, n_steps // 2, n_out // stride)
-    estimate = float(np.max(np.abs(fine[::stride] - coarse))) / 15.0
-    _guard(estimate, f"with {n_steps} steps over a span of {span:.6g}")
-    return fine, estimate
+    rabis = np.asarray(rabis, dtype=float).reshape(-1)
+    fine = _evolve(delta, rabis, tau0, span, n_steps, n_out)
+    coarse = _evolve(delta, rabis, tau0, span, n_steps // 2, n_out // stride)
+    estimates = np.max(np.abs(fine[:, ::stride] - coarse), axis=(1, 2)) / 15.0
+    where = f"with {n_steps} steps over a span of {span:.6g}"
+    return fine, estimates, [_refusal(e, where) for e in estimates]
 
 
-def _guard(estimate: float, where: str) -> None:
-    if not estimate <= _ERROR_BOUND:
-        raise AccuracyError(
-            f"step-halving error estimate {estimate:.3e} exceeds {_ERROR_BOUND:.0e} "
-            f"{where}; increase steps_per_period"
-        )
+def _refusal(estimate: float, where: str) -> AccuracyError | None:
+    if estimate <= _ERROR_BOUND:
+        return None
+    return AccuracyError(
+        f"step-halving error estimate {estimate:.3e} exceeds {_ERROR_BOUND:.0e} "
+        f"{where}; increase steps_per_period"
+    )
 
 
 def _matrices(u: np.ndarray) -> np.ndarray:
@@ -195,7 +217,9 @@ def propagate(
     if span == 0:
         return np.eye(2, dtype=complex)
     n_steps = 2 * max(1, round(span / TWO_PI * config.steps_per_period / 2))
-    u, _ = _checked(params, tau_start, span, n_steps, 1)
+    (u,), _, (refusal,) = _checked(params.delta, [params.rabi], tau_start, span, n_steps, 1)
+    if refusal is not None:
+        raise refusal
     return _matrices(u[-1])
 
 
@@ -214,16 +238,27 @@ def propagate_grid(
     Returns the (n_grid + 1, 2, 2) array of propagators and its step-halving
     error estimate, which covers every grid point.  The last entry is the
     monodromy operator; the middle entry (even n_grid) is the half-period
-    propagator used for symmetry resolution.
+    propagator used for symmetry resolution.  grid_propagators of one drive.
     """
+    grids, estimates, (refusal,) = grid_propagators(params.delta, [params.rabi], config, n_grid)
+    if refusal is not None:
+        raise refusal
+    return grids[0], float(estimates[0])
+
+
+def grid_propagators(
+    delta: float, rabis, config: PropagationConfig | None = None, n_grid: int = 512
+) -> tuple[np.ndarray, np.ndarray, list[AccuracyError | None]]:
+    """propagate_grid at every Rabi amplitude in rabis, in one pass: the (m, n_grid + 1, 2, 2)
+    grids, their (m,) estimates, and per grid the AccuracyError propagate_grid raises, or None."""
     config = config or DEFAULT_CONFIG
     if not isinstance(n_grid, (int, np.integer)) or n_grid < 1:
         raise DomainError(f"n_grid must be a positive integer, got {n_grid!r}")
     sub = max(1, config.steps_per_period // n_grid)
     # the half-step run needs an even step count
     sub += (sub * n_grid) % 2
-    u, estimate = _checked(params, 0.0, TWO_PI, sub * n_grid, n_grid)
-    return _matrices(u), estimate
+    u, estimates, refusals = _checked(delta, rabis, 0.0, TWO_PI, sub * n_grid, n_grid)
+    return _matrices(u), estimates, refusals
 
 
 def half_period_propagators(
@@ -254,8 +289,9 @@ def half_period_propagators(
         runs = np.split(_compose(np.stack((u[..., 0], u[..., 1].conj()), axis=-1), u), 2)
         estimates = np.max(np.abs(runs[0] - runs[1]), axis=-1) / 15.0
         over = ~(estimates <= _ERROR_BOUND)
-        for rabi, estimate in zip(chunk[over], estimates[over]):
-            _guard(estimate, f"at zeta = {2.0 * rabi:.17g} with {4 * n} steps per period")
+        if over.any():
+            zeta = 2.0 * chunk[over][0]
+            raise _refusal(estimates[over][0], f"at zeta = {zeta:.17g} with {4 * n} steps per period")
         halves.append(runs[0])
         errors.append(estimates)
     return _matrices(np.concatenate(halves)), np.concatenate(errors)

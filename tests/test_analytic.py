@@ -30,6 +30,7 @@ from driventls import (
     xi_a,
     xi_s,
 )
+from driventls.analytic import _coefficient_row, _grid_series, _xi_a_from_row, _xi_s_from_row
 
 # frozen outputs of the quadrature oracle (tests/oracles.py), which builds
 # xi_s and xi_a from their derivative relations by Gauss-Legendre
@@ -268,6 +269,18 @@ def test_analytic_modes_structure():
     assert m1.quasienergy == pair.eps1
     assert m2.quasienergy == pair.eps2
     taus = tau_grid(128)
-    assert np.max(np.abs(m1.samples - analytic_floquet_state(p, 1, taus))) == 0.0
+    # the grid sums its series by FFT, analytic_floquet_state directly
+    assert np.max(np.abs(m1.samples - analytic_floquet_state(p, 1, taus))) <= 1e-15
     with pytest.raises(DomainError):
         analytic_modes(p, n_grid=63)
+
+
+@pytest.mark.parametrize("zeta", [0.0, 1e-9, 0.6, 2.404825557695773, 40.0, 100.0])
+@pytest.mark.parametrize("n_grid", [64, 512, 4096])
+def test_grid_series_by_fft_equal_the_direct_sums(zeta, n_grid):
+    # at grid 64 the rows of zeta 40 and 100 reach past n_grid / 2 and fold
+    row = _coefficient_row(_params(0.02, zeta))
+    taus = tau_grid(n_grid)
+    xs, xa = _grid_series(row, n_grid)
+    assert np.max(np.abs(xs - _xi_s_from_row(row, taus))) <= 1e-15
+    assert np.max(np.abs(xa - _xi_a_from_row(row, taus))) <= 1e-15

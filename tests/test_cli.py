@@ -7,6 +7,7 @@ import pytest
 from oracles import shirley_parity_gap
 
 import driventls.bessel
+import driventls.cli
 import driventls.floquet
 import driventls.propagator
 from driventls import DomainError
@@ -277,10 +278,12 @@ def test_validate_passes_in_regime(capsys):
     assert check["unitarity_drift"] <= 1e-10
 
 
-def test_validate_propagates_once_per_zeta(monkeypatch, capsys):
-    # every propagation runs through propagator._checked; modes, spectrum
-    # and the unitarity gate of one zeta must share a single propagate_grid
-    counts = {"grid": 0, "checked": 0}
+def test_validate_propagates_once_per_command(monkeypatch, capsys):
+    # every propagation runs through propagator._checked, which makes one fine
+    # and one half-step _evolve run over its whole stack of drive strengths; the
+    # modes, spectrum and unitarity gate of all eight zetas share one such pass,
+    # and no zeta takes the one-drive propagate_grid route
+    counts = {"grid": 0, "checked": 0, "evolve": 0}
 
     def counting(name, func):
         def wrapper(*args, **kwargs):
@@ -289,16 +292,82 @@ def test_validate_propagates_once_per_zeta(monkeypatch, capsys):
 
         return wrapper
 
-    monkeypatch.setattr(
-        driventls.floquet, "propagate_grid", counting("grid", driventls.floquet.propagate_grid)
-    )
-    monkeypatch.setattr(
-        driventls.propagator, "_checked", counting("checked", driventls.propagator._checked)
-    )
-    code, out, _ = _run(capsys, ["validate", "--zetas", "0.6", "3.1", "--grid", "64"])
+    for module, name, key in (
+        (driventls.floquet, "propagate_grid", "grid"),
+        (driventls.propagator, "propagate_grid", "grid"),
+        (driventls.propagator, "_checked", "checked"),
+        (driventls.propagator, "_evolve", "evolve"),
+    ):
+        monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
+    zetas = ["0.6", "1.5", "2.404825557695773", "5.5", "12", "33", "70", "95"]
+    code, out, _ = _run(capsys, ["validate", "--zetas", *zetas])
     assert code == 0
-    assert len(json.loads(out)["checks"]) == 2
-    assert counts == {"grid": 2, "checked": 2}
+    assert len(json.loads(out)["checks"]) == 8
+    assert counts == {"grid": 0, "checked": 1, "evolve": 2}
+
+
+def _checks(capsys, argv):
+    code, out, _ = _run(capsys, argv)
+    checks = json.loads(out)["checks"]
+    return code, [{key: (value, type(value)) for key, value in check.items()} for check in checks]
+
+
+def test_batched_validate_checks_are_the_one_zeta_checks(capsys):
+    # 64 steps per period refuse 70 and 9.93 inside the batch; every check,
+    # refused or not, equals key for key and bit for bit the check of a run
+    # that holds only its zeta
+    base = ["--steps", "64", "--grid", "64"]
+    zetas = ["0.6", "70", "3.1", "9.93", "2.404825557695773"]
+    code, batched = _checks(capsys, ["validate", "--zetas", *zetas, *base])
+    assert code == 1
+    assert [check["error"][0] is None for check in batched] == [True, False, True, False, True]
+    for zeta, check in zip(zetas, batched):
+        _, (alone,) = _checks(capsys, ["validate", "--zetas", zeta, *base])
+        assert check == alone
+
+
+def test_weights_raise_the_first_failing_zeta(capsys):
+    # the second of three zetas is beyond 64 steps per period; the run stops
+    # with its error, as a one-zeta-at-a-time run did
+    argv = ["weights", "--zetas", "0.6", "40", "3", "--steps", "64", "--grid", "64"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: step-halving error estimate 1.500e-05 exceeds 1e-07 with 64 steps "
+        "over a span of 6.28319; increase steps_per_period\n"
+    )
+
+
+def test_one_process_runs_like_fresh_ones(capsys):
+    # the parser is built once per process; runs that set options, a usage
+    # error and runs that leave the options at their defaults give what fresh
+    # processes give, and no option value carries over from one run to the next
+    runs = [
+        ["sweep", "--delta", "0.05", "--zeta-max", "3", "--zeta-steps", "5", "--steps", "256", "--format", "json", "--mu", "2"],
+        ["weights", "--zetas", "-1"],
+        ["weights", "--zetas", "0.6", "--grid", "64"],
+        ["validate", "--zetas", "3.1", "--grid", "64"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    in_process = [outcome(argv) for argv in runs]
+    fresh = []
+    for argv in runs:
+        driventls.cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert in_process == fresh
+    assert [code for code, _, _ in in_process] == [0, 2, 0, 0]
+    weights, validate = in_process[2][1], json.loads(in_process[3][1])
+    assert "# params.delta = 0.02\n" in weights and "# params.dipole = 1\n" in weights
+    assert "# params.steps_per_period = 4096\n" in weights and weights.startswith("# command")
+    assert validate["params"]["delta"] == 0.02 and validate["params"]["dipole"] == 1
 
 
 def test_closed_form_bessel_row_budget(monkeypatch, capsys):

@@ -1,0 +1,128 @@
+"""Fresh CLI output against the committed goldens in tests/golden/, column by column.
+
+Integer, string, boolean and null cells must match exactly, and so must every
+float column not named in TOLERANCES.  The goldens cover the invocations of
+the CI output contract, with weights on a 128-sample grid in place of 1024 to
+keep the files small.  A change that moves output within the tolerances
+regenerates them and says so; one that moves output beyond them changes the
+contract.  Regenerate from the root of a checkout with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from driventls.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# file name -> (argv, exit code)
+CASES = {
+    "spectrum.csv": (["spectrum", "--include-forbidden"], 0),
+    "validate.json": (["validate", "--zetas", "0.6", "3.1"], 0),
+    "sweep.csv": (["sweep"], 0),
+    "weights.csv": (["weights", "--zetas", "0.6", "3.1", "--grid", "128"], 0),
+    "validate_wide.json": (["validate", "--zetas", "0.6", "2.404825557695773", "10", "40", "70", "100"], 0),
+    "spectrum.json": (["spectrum", "--include-forbidden", "--k-max", "9", "--format", "json"], 0),
+    "sweep_wide.csv": (["sweep", "--delta", "0.011", "--zeta-max", "12", "--zeta-steps", "241"], 0),
+    # zero drive, and zeta = 100 on a grid too coarse for its harmonics
+    "weights_fold.json": (["weights", "--zetas", "0", "0.6", "100", "--grid", "64", "--format", "json"], 0),
+    # 64 steps per period refuse zeta = 70 inside a batch that solves 0.6
+    "validate_refused.json": (["validate", "--zetas", "0.6", "70", "--steps", "64", "--grid", "64"], 1),
+}
+
+QUASIENERGY = ("abs", 1e-13)
+# column -> (kind, bound): |fresh - golden| <= bound, times |golden| when relative
+TOLERANCES = {
+    **dict.fromkeys(("eps1_exact", "eps2_exact", "eps1_analytic", "eps2_analytic"), QUASIENERGY),
+    "frequency": QUASIENERGY,
+    "quasienergy_gap": QUASIENERGY,
+    "weight1": ("abs", 1e-13),
+    "weight2": ("abs", 1e-13),
+    "min_mode_fidelity": ("abs", 1e-13),
+    "intensity_numeric": ("rel", 1e-12),
+    "intensity_analytic": ("rel", 1e-12),
+}
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def _parse(name: str, text: str) -> tuple[dict, list[dict]]:
+    """Header values and table rows of one output; CSV cells stay text."""
+    if name.endswith(".json"):
+        payload = json.loads(text)
+        table = next(key for key in ("rows", "checks") if key in payload)
+        return {k: v for k, v in payload.items() if k != table}, payload[table]
+    header, body = {}, []
+    for line in text.splitlines():
+        if line.startswith("# "):
+            key, _, value = line[2:].partition(" = ")
+            header[key] = value
+        else:
+            body.append(line.split(","))
+    names = body[0] if body else []
+    return header, [dict(zip(names, cells)) for cells in body[1:]]
+
+
+def _close(column: str, fresh, golden) -> bool:
+    if type(fresh) is type(golden) and fresh == golden:
+        return True
+    kind, bound = TOLERANCES.get(column, (None, None))
+    if kind is None or isinstance(fresh, bool) or isinstance(golden, bool):
+        return False
+    try:
+        fresh, golden = float(fresh), float(golden)
+    except (TypeError, ValueError):
+        return False
+    return abs(fresh - golden) <= bound * (abs(golden) if kind == "rel" else 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden_within_tolerance(name):
+    argv, expected_code = CASES[name]
+    code, text = _run(argv)
+    assert code == expected_code
+    header, rows = _parse(name, text)
+    golden_header, golden_rows = _parse(name, (GOLDEN / name).read_text(encoding="utf-8"))
+    assert header == golden_header
+    assert len(rows) == len(golden_rows) > 0
+    for index, (row, golden) in enumerate(zip(rows, golden_rows)):
+        assert list(row) == list(golden)
+        bad = [c for c in row if not _close(c, row[c], golden[c])]
+        assert not bad, (index, {c: (row[c], golden[c]) for c in bad})
+
+
+@pytest.mark.parametrize("name", ["spectrum.csv", "spectrum.json", "sweep.csv", "sweep_wide.csv"])
+def test_spectrum_and_sweep_are_the_golden_bytes(name):
+    # the exact propagator, spectrum and sweep moved no bit since the goldens
+    assert _run(CASES[name][0])[1] == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["weights.csv", "weights_fold.json"])
+def test_exact_weight_rows_are_the_golden_values(name):
+    _, rows = _parse(name, _run(CASES[name][0])[1])
+    _, golden = _parse(name, (GOLDEN / name).read_text(encoding="utf-8"))
+    exact = [row for row in rows if row["source"] == "exact"]
+    assert exact == [row for row in golden if row["source"] == "exact"] and exact
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, (argv, expected_code) in CASES.items():
+        code, text = _run(argv)
+        if code != expected_code:
+            sys.exit(f"{name}: exit code {code}, expected {expected_code}")
+        (GOLDEN / name).write_text(text, encoding="utf-8")

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import shirley_quasienergies
 
+import driventls.propagator
 from driventls import (
     AccuracyError,
     DomainError,
@@ -19,7 +20,7 @@ from driventls import (
     unitarity_defect,
 )
 from driventls.floquet import exact_quasienergy_scan
-from driventls.propagator import _compose, _steps, half_period_propagators
+from driventls.propagator import _compose, _steps, grid_propagators, half_period_propagators
 
 TWO_PI = 2.0 * math.pi
 
@@ -182,6 +183,30 @@ def test_in_place_kernel_is_bitwise_the_plain_expressions(delta, rabi):
         a2, b2, a1, b1 = later[..., 0], later[..., 1], earlier[..., 0], earlier[..., 1]
         plain = np.stack((a2 * a1 - b2 * b1.conj(), a2 * b1 + b2 * a1.conj()), axis=-1)
         assert np.array_equal(_bits(_compose(later, earlier)), _bits(plain))
+
+
+@pytest.mark.parametrize("steps, batch_bytes", [(4096, 1 << 18), (4096, 1 << 12), (128, 1 << 18)])
+def test_batched_grid_is_bitwise_the_one_drive_grid(monkeypatch, steps, batch_bytes):
+    # five drive strengths in one pass, built one time block at a time (a
+    # single grid interval per block at 1 << 12 bytes), against each one's own
+    # propagate_grid; 128 steps per period refuse zeta = 40 and 100
+    config = PropagationConfig(steps_per_period=steps)
+    zetas = [0.0, 0.6, 2.404825557695773, 40.0, 100.0]
+    alone = []
+    for zeta in zetas:
+        try:
+            alone.append(propagate_grid(SystemParams.from_zeta(0.02, zeta), config, 64))
+        except AccuracyError as exc:
+            alone.append(str(exc))
+    monkeypatch.setattr(driventls.propagator, "_BATCH_BYTES", batch_bytes)
+    grids, estimates, refusals = grid_propagators(0.02, np.array(zetas) / 2.0, config, 64)
+    for single, grid, estimate, refusal in zip(alone, grids, estimates, refusals):
+        if isinstance(single, str):
+            assert str(refusal) == single
+        else:
+            assert refusal is None and estimate == single[1]
+            assert np.array_equal(_bits(grid), _bits(single[0]))
+    assert sum(refusal is not None for refusal in refusals) == (2 if steps == 128 else 0)
 
 
 def test_scan_accuracy_error_names_first_failing_point():
