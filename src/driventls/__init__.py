@@ -49,7 +49,6 @@ from .propagator import (
     propagate_grid,
 )
 from .spectroscopy import (
-    TransitionLine,
     is_forbidden,
     line_class,
     line_intensity_analytic,
@@ -72,7 +71,6 @@ __all__ = [
     "QuasienergyPair",
     "SIGMA_X",
     "SystemParams",
-    "TransitionLine",
     "analytic_evolution",
     "analytic_floquet_state",
     "analytic_modes",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bessel import bessel_j, bessel_row, series_cutoff
 from .core import DomainError, SystemParams, su2_exponential, tau_grid
-from .floquet import FloquetMode, QuasienergyPair, fold_quasienergy
+from .floquet import FloquetMode, QuasienergyPair, _phase_factor, fold_quasienergy
 
 
 def _as_tau_array(tau) -> np.ndarray:
@@ -27,17 +27,15 @@ def _as_tau_array(tau) -> np.ndarray:
     return t
 
 
-def _unwrap(tau, out):
-    # scalar in, scalar out; arrays pass through
-    if np.ndim(tau) == 0:
-        return out.item()
-    return out
+def _unwrap(out):
+    # scalars in, Python scalars out; arrays pass through
+    return out.item() if np.ndim(out) == 0 else out
 
 
 def phi(params: SystemParams, tau):
     """Oscillating rotation angle (zeta/2)*sin(tau) of the drive frame."""
     t = _as_tau_array(tau)
-    return _unwrap(tau, params.rabi * np.sin(t))
+    return _unwrap(params.rabi * np.sin(t))
 
 
 def _coefficient_row(params: SystemParams) -> np.ndarray:
@@ -74,7 +72,7 @@ def xi_s(params: SystemParams, tau):
     half-period shift.
     """
     t = _as_tau_array(tau)
-    return _unwrap(tau, _xi_s_from_row(_coefficient_row(params), t))
+    return _unwrap(_xi_s_from_row(_coefficient_row(params), t))
 
 
 def xi_a(params: SystemParams, tau):
@@ -84,7 +82,7 @@ def xi_a(params: SystemParams, tau):
     antisymmetric under a half-period shift.
     """
     t = _as_tau_array(tau)
-    return _unwrap(tau, _xi_a_from_row(_coefficient_row(params), t))
+    return _unwrap(_xi_a_from_row(_coefficient_row(params), t))
 
 
 def _eta_from_row(delta: float, row: np.ndarray, j0: float, t: np.ndarray) -> np.ndarray:
@@ -96,7 +94,7 @@ def eta(params: SystemParams, tau):
     """Complex phase function i*(xi_a(0) - exp(-i delta J_0 tau) xi_a(tau))."""
     t = _as_tau_array(tau)
     row = _coefficient_row(params)
-    return _unwrap(tau, _eta_from_row(params.delta, row, bessel_j(0, params.zeta), t))
+    return _unwrap(_eta_from_row(params.delta, row, bessel_j(0, params.zeta), t))
 
 
 def analytic_quasienergies(params: SystemParams) -> QuasienergyPair:
@@ -133,10 +131,8 @@ def _states(params: SystemParams, t: np.ndarray, on_grid: bool = False) -> list[
     zero = _raw_states(params, row, np.zeros(1))
     states = []
     for out, anchor in zip(raw, zero):
-        anchor = anchor[0]
-        idx = 0 if abs(anchor[0]) >= abs(anchor[1]) else 1
         out = out / np.linalg.norm(out, axis=-1, keepdims=True)
-        states.append(out * (anchor[idx].conjugate() / abs(anchor[idx])))
+        states.append(out * _phase_factor(anchor[0]))
     return states
 
 

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import DomainError
+from .core import DomainError, _frozen
 
 # rescale the downward recurrence whenever entries grow past this, to avoid
 # overflow at small arguments where successive ratios are ~2n/x
@@ -96,9 +96,7 @@ def bessel_row(order_max: int, x: float) -> np.ndarray:
         raise DomainError(f"order_max must be a non-negative integer, got {order_max!r}")
     if not math.isfinite(x) or x < 0:
         raise DomainError(f"argument must be finite and >= 0, got {x!r}")
-    values = _miller_row(int(order_max), float(x))
-    values.setflags(write=False)
-    return values
+    return _frozen(_miller_row(int(order_max), float(x)), float)
 
 
 def j0_zero(k: int) -> float:

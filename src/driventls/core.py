@@ -38,8 +38,9 @@ class ClassificationError(DrivenTLSError, RuntimeError):
     """A symmetry classification came out ambiguous."""
 
 
-def _frozen(matrix: list[list[complex]]) -> np.ndarray:
-    m = np.array(matrix, dtype=complex)
+def _frozen(values, dtype=complex) -> np.ndarray:
+    """A read-only copy of values, the form of every array the package keeps or shares."""
+    m = np.array(values, dtype=dtype)
     m.setflags(write=False)
     return m
 

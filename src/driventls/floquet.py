@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassificationError, DomainError, tau_grid
+from .core import ClassificationError, DomainError, _frozen, tau_grid
 from .propagator import PropagationConfig, grid_propagators, half_period_propagators, propagate_grid
 
 # generalized-parity matrix: swaps nothing, flips the excited amplitude
-PARITY = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PARITY.setflags(write=False)
+PARITY = _frozen([[1, 0], [0, -1]])
 
 # symmetry-operator splittings below this put both modes on the zone boundary
 _BOUNDARY_GAP = 1e-7
@@ -77,19 +76,19 @@ class FloquetMode:
         samples = np.asarray(self.samples, dtype=complex)
         if samples.ndim != 2 or samples.shape[1] != 2 or samples.shape[0] < 2:
             raise DomainError(f"samples must have shape (n, 2), got {samples.shape}")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", _frozen(samples))
 
     @property
     def n_samples(self) -> int:
         return self.samples.shape[0]
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    # largest component of each vector made real positive; ties broken toward the first
+def _phase_factor(v: np.ndarray) -> np.ndarray:
+    # the (..., 1) unit factors that make the largest component of each vector real positive,
+    # ties broken toward the first: the phase convention of the exact and the analytic modes
     mag = np.abs(v)
     big = np.take_along_axis(v, (mag[..., :1] < mag[..., 1:]).astype(np.intp), -1)
-    return v * (big.conj() / np.abs(big))
+    return big.conj() / np.abs(big)
 
 
 def _split(halves: np.ndarray) -> tuple[list[QuasienergyPair], np.ndarray]:
@@ -124,7 +123,7 @@ def _split(halves: np.ndarray) -> tuple[list[QuasienergyPair], np.ndarray]:
         else QuasienergyPair(*map(fold_quasienergy, row))
         for row, (low, high) in zip(eps.tolist(), values.tolist())
     ]
-    return pairs, _fix_phase(v)
+    return pairs, v * _phase_factor(v)
 
 
 def _raise_first(entries: list) -> list:
@@ -149,9 +148,7 @@ class FloquetSolution:
     error_estimate: float
 
     def __post_init__(self) -> None:
-        monodromy = np.array(self.monodromy, dtype=complex)
-        monodromy.setflags(write=False)
-        object.__setattr__(self, "monodromy", monodromy)
+        object.__setattr__(self, "monodromy", _frozen(self.monodromy))
 
 
 def _check_grid(n_grid, config: PropagationConfig) -> None:

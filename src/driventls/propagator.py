@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AccuracyError, DomainError, SystemParams
+from .core import AccuracyError, DomainError, SystemParams, _frozen
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,9 +83,7 @@ def _nodes(tau0: float, h: float, n: int) -> np.ndarray:
     """cos tau at the first and the second Gauss-Legendre node of the n steps of width h from
     tau0, read-only: every batch and every call with these steps reads the same two rows."""
     mid = tau0 + h * (np.arange(n) + 0.5)
-    rows = np.cos(mid + np.array([[-_NODE], [_NODE]]) * h)
-    rows.setflags(write=False)
-    return rows
+    return _frozen(np.cos(mid + np.array([[-_NODE], [_NODE]]) * h), float)
 
 
 def _steps(delta: float, rabi, tau0: float, h: float, n: int, block=slice(None)) -> np.ndarray:

@@ -10,85 +10,65 @@ exactly: same-mode transitions need odd k, cross-mode transitions even k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
-from .analytic import analytic_quasienergies
-from .bessel import bessel_j, bessel_row
-from .core import SIGMA_X, DomainError, SystemParams, tau_grid
+from .analytic import _unwrap, analytic_quasienergies
+from .bessel import bessel_row
+from .core import SIGMA_X, DomainError, SystemParams, _frozen, tau_grid
 from .floquet import FloquetMode
 
 
-@dataclass(frozen=True)
-class TransitionLine:
-    """One spectral line between Floquet-mode manifolds.
-
-    The final state is mode i in the reference manifold, the initial state
-    is mode j offset by k drive quanta.  frequency is non-negative in units
-    of the drive frequency; direction holds the sign of the underlying
-    energy difference (+1 emission-side, -1 absorption-side, 0 degenerate).
-    Intensities are in units of dipole**2.
-    """
-
-    i: int
-    j: int
-    k: int
-    frequency: float
-    intensity_numeric: float
-    intensity_analytic: float
-    line_class: str
-    forbidden: bool
-    direction: int
+def _lines(i, j, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """i, j, k as arrays, once every mode label is 1 or 2 and every offset an integer."""
+    i, j, k = np.asarray(i), np.asarray(j), np.asarray(k)
+    for label in (i, j):
+        bad = (label != 1) & (label != 2)
+        if np.any(bad):
+            raise DomainError(f"mode label must be 1 or 2, got {label[bad].tolist()[0]!r}")
+    if k.dtype.kind not in "iu":
+        raise DomainError(f"Fourier offset k must be an integer, got {k.tolist()!r}")
+    return i, j, k
 
 
-def _check_label(label: int) -> None:
-    if label not in (1, 2):
-        raise DomainError(f"mode label must be 1 or 2, got {label!r}")
+def is_forbidden(i, j, k):
+    """Parity selection rule, elementwise: allowed iff (i=j, k odd) or (i!=j, k even)."""
+    i, j, k = _lines(i, j, k)
+    return _unwrap((i == j) == (k % 2 == 0))
 
 
-def _check_offset(k) -> None:
-    if not isinstance(k, (int, np.integer)):
-        raise DomainError(f"Fourier offset k must be an integer, got {k!r}")
-
-
-def is_forbidden(i: int, j: int, k: int) -> bool:
-    """Parity selection rule: allowed iff (i=j, k odd) or (i!=j, k even)."""
-    _check_label(i)
-    _check_label(j)
-    _check_offset(k)
-    if i == j:
-        return k % 2 == 0
-    return k % 2 != 0
-
-
-def line_class(i: int, j: int, k: int) -> str:
-    """Transition family: intra_manifold, hyper_raman, or odd_harmonic.
+def line_class(i, j, k):
+    """Transition family, elementwise: intra_manifold, hyper_raman, or odd_harmonic.
 
     Classifies by the (i, j, k) pattern alone; whether the line is actually
     allowed is tracked separately by is_forbidden.
     """
-    _check_label(i)
-    _check_label(j)
-    _check_offset(k)
-    if i == j:
-        return "odd_harmonic"
-    return "intra_manifold" if k == 0 else "hyper_raman"
+    i, j, k = _lines(i, j, k)
+    return _unwrap(np.where(i == j, "odd_harmonic", np.where(k == 0, "intra_manifold", "hyper_raman")))
 
 
-def line_intensity_analytic(params: SystemParams, i: int, j: int, k: int) -> float:
-    """Closed-form first-order line intensity in units of dipole**2.
+def line_intensity_analytic(params: SystemParams, i, j, k):
+    """Closed-form first-order line intensity in units of dipole**2, elementwise.
 
     Cross-mode k = 0 lines carry the full dipole strength; every other
     allowed line is weaker by (delta * J_|k|(zeta) / k)**2; forbidden
-    combinations return exactly 0.
+    combinations give exactly 0.  One Bessel row serves every k.
     """
-    if is_forbidden(i, j, k):
-        return 0.0
+    forbidden = is_forbidden(i, j, k)
+    k = np.asarray(k)
+    row = bessel_row(np.abs(k).max(initial=0), params.zeta)
     mu2 = params.dipole**2
-    if k == 0:
-        return mu2
-    return mu2 * (params.delta * bessel_j(abs(k), params.zeta) / k) ** 2
+    # k = 0 lines carry mu2; dividing by 1 there keeps the unused branch finite
+    scaled = mu2 * (params.delta * row[np.abs(k)] / np.where(k == 0, 1, k)) ** 2
+    return _unwrap(np.where(forbidden, 0.0, np.where(k == 0, mu2, scaled)))
+
+
+@functools.lru_cache(maxsize=4)
+def _phases(n: int, k_max: int) -> np.ndarray:
+    """e^{i k tau} at tau_grid(n) for k = -k_max..k_max, read-only: every spectrum on this
+    grid and with this k_max, such as each zeta of one validate, reads the same table."""
+    return _frozen(np.exp(1j * np.multiply.outer(tau_grid(n), np.arange(-k_max, k_max + 1))))
 
 
 def spectrum(
@@ -96,7 +76,7 @@ def spectrum(
     modes: tuple[FloquetMode, FloquetMode],
     k_max: int,
     include_forbidden: bool = False,
-) -> list[TransitionLine]:
+) -> dict[str, np.ndarray]:
     """All transitions ending in the reference manifold, sorted by frequency.
 
     Arguments:
@@ -109,10 +89,12 @@ def spectrum(
             intensity quantifies the symmetry leakage of the modes.
 
     Returns:
-        TransitionLine list.  Frequencies come from the first-order
-        quasienergies, so degenerate doublets collapse exactly at the
-        level-crossing drive strengths; intensities are computed both from
-        the given modes and from the closed-form formulas.
+        The line table as equal-length columns: final mode i, initial mode j
+        and its offset k; frequency in units of the drive frequency, from the
+        first-order quasienergies, so doublets collapse exactly at the level
+        crossings; intensity_numeric from the modes and intensity_analytic,
+        in units of dipole**2; class; forbidden; direction, the sign of the
+        energy difference (+1 emission side, -1 absorption side, 0 degenerate).
     """
     n = modes[0].n_samples
     if modes[1].n_samples != n:
@@ -122,9 +104,7 @@ def spectrum(
     if k_max >= n // 2:
         raise DomainError(f"k_max must be below n_samples/2 = {n // 2}, got {k_max}")
     pair = analytic_quasienergies(params)
-    row = bessel_row(k_max, params.zeta)
-    ks = np.arange(-k_max, k_max + 1)
-    phases = np.exp(1j * np.multiply.outer(tau_grid(n), ks))
+    phases = _phases(n, k_max)
     by_label = {m.label: m for m in modes}
     mu2 = params.dipole**2
     intensities = []
@@ -135,21 +115,25 @@ def spectrum(
             # period average of f(tau) e^{i k tau} for every k at once
             intensities.append(mu2 * np.abs(f @ phases / n) ** 2)
     # one entry per (i, j, k), in the order the intensities were stacked
+    ks = np.arange(-k_max, k_max + 1)
     i_col = np.repeat([1, 1, 2, 2], ks.size)
     j_col = np.repeat([1, 2, 1, 2], ks.size)
     k_col = np.tile(ks, 4)
-    same = i_col == j_col
-    forbidden = same == (k_col % 2 == 0)
     eps = np.array([pair.eps1, pair.eps2])
     signed = eps[j_col - 1] - eps[i_col - 1] + k_col
-    # k = 0 lines carry mu2; dividing by 1 there keeps the unused branch finite
-    scaled = mu2 * (params.delta * row[np.abs(k_col)] / np.where(k_col == 0, 1, k_col)) ** 2
-    analytic = np.where(forbidden, 0.0, np.where(k_col == 0, mu2, scaled))
-    classes = np.where(same, "odd_harmonic", np.where(k_col == 0, "intra_manifold", "hyper_raman"))
-    frequency = np.abs(signed)
-    order = np.lexsort((j_col, i_col, k_col, frequency))
+    forbidden = is_forbidden(i_col, j_col, k_col)
+    table = {
+        "i": i_col,
+        "j": j_col,
+        "k": k_col,
+        "frequency": np.abs(signed),
+        "intensity_numeric": np.concatenate(intensities),
+        "intensity_analytic": line_intensity_analytic(params, i_col, j_col, k_col),
+        "class": line_class(i_col, j_col, k_col),
+        "forbidden": forbidden,
+        "direction": np.sign(signed).astype(int),
+    }
+    order = np.lexsort((j_col, i_col, k_col, table["frequency"]))
     if not include_forbidden:
         order = order[~forbidden[order]]
-    columns = (i_col, j_col, k_col, frequency, np.concatenate(intensities), analytic, classes)
-    columns += (forbidden, np.sign(signed).astype(int))
-    return [TransitionLine(*line) for line in zip(*(c[order].tolist() for c in columns))]
+    return {name: column[order] for name, column in table.items()}

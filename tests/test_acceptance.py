@@ -140,9 +140,7 @@ def test_criterion_05_selection_rules_exact():
     for zeta in (math.pi / 5, math.pi, 2.404826):
         p = _params(0.1, zeta)
         lines = spectrum(p, build_modes(p).modes, 9, include_forbidden=True)
-        worst = max(
-            worst, max(line.intensity_numeric for line in lines if line.forbidden)
-        )
+        worst = max(worst, lines["intensity_numeric"][lines["forbidden"]].max())
     _report(
         5,
         worst <= 1e-10,
@@ -154,13 +152,9 @@ def test_criterion_05_selection_rules_exact():
 def test_criterion_06_line_intensities():
     p = _params(DELTA, math.pi)
     lines = spectrum(p, build_modes(p).modes, 7)
-    worst = 0.0
-    worst_intra = 0.0
-    for line in lines:
-        rel = abs(line.intensity_numeric - line.intensity_analytic) / line.intensity_analytic
-        worst = max(worst, rel)
-        if line.line_class == "intra_manifold":
-            worst_intra = max(worst_intra, abs(line.intensity_numeric - 1.0))
+    numeric, closed = lines["intensity_numeric"], lines["intensity_analytic"]
+    worst = np.max(np.abs(numeric - closed) / closed)
+    worst_intra = np.max(np.abs(numeric[lines["class"] == "intra_manifold"] - 1.0))
     _report(
         6,
         worst <= 0.2 and worst_intra <= 0.2,
@@ -177,10 +171,11 @@ def test_criterion_07_doublet_collapse():
     worst_spread = 0.0
     worst_rel = 0.0
     for k in (2, -2):
-        pair = [line for line in lines if line.i != line.j and line.k == k]
-        assert len(pair) == 2
-        worst_spread = max(worst_spread, abs(pair[0].frequency - pair[1].frequency))
-        merged = pair[0].intensity_numeric + pair[1].intensity_numeric
+        pair = (lines["i"] != lines["j"]) & (lines["k"] == k)
+        assert np.count_nonzero(pair) == 2
+        (f0, f1), (i0, i1) = lines["frequency"][pair], lines["intensity_numeric"][pair]
+        worst_spread = max(worst_spread, abs(f0 - f1))
+        merged = i0 + i1
         worst_rel = max(worst_rel, abs(merged - 2.0 * single) / (2.0 * single))
     _report(
         7,

@@ -37,6 +37,10 @@ CASES = {
     "weights_fold.json": (["weights", "--zetas", "0", "0.6", "100", "--grid", "64", "--format", "json"], 0),
     # 64 steps per period refuse zeta = 70 inside a batch that solves 0.6
     "validate_refused.json": (["validate", "--zetas", "0.6", "70", "--steps", "64", "--grid", "64"], 1),
+    # a dipole other than 1, and zero detuning, where every k != 0 line has a
+    # closed-form intensity of 0 and validate holds it to the weak-line bound
+    "spectrum_dipole.csv": (["spectrum", "--delta", "0", "--mu", "2.5", "--include-forbidden", "--k-max", "5"], 0),
+    "validate_weak.json": (["validate", "--delta", "0", "--mu", "2.5", "--zetas", "0.6", "9.932314258317383"], 0),
 }
 
 QUASIENERGY = ("abs", 1e-13)
@@ -105,7 +109,7 @@ def test_output_matches_golden_within_tolerance(name):
         assert not bad, (index, {c: (row[c], golden[c]) for c in bad})
 
 
-@pytest.mark.parametrize("name", ["spectrum.csv", "spectrum.json", "sweep.csv", "sweep_wide.csv"])
+@pytest.mark.parametrize("name", ["spectrum.csv", "spectrum.json", "spectrum_dipole.csv", "sweep.csv", "sweep_wide.csv"])
 def test_spectrum_and_sweep_are_the_golden_bytes(name):
     # the exact propagator, spectrum and sweep moved no bit since the goldens
     assert _run(CASES[name][0])[1] == (GOLDEN / name).read_text(encoding="utf-8")

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ import driventls.spectroscopy
 from driventls import (
     DomainError,
     SystemParams,
-    TransitionLine,
     analytic_quasienergies,
     build_modes,
     is_forbidden,
@@ -38,8 +38,15 @@ def _constant_mode(label, vec, eps=0.0, n=64):
     return FloquetMode(label, eps, samples)
 
 
+COLUMNS = ["i", "j", "k", "frequency", "intensity_numeric", "intensity_analytic", "class", "forbidden", "direction"]
+
+
+def _keys(lines):
+    return list(zip(lines["i"].tolist(), lines["j"].tolist(), lines["k"].tolist()))
+
+
 def _intensities(lines):
-    return {(line.i, line.j, line.k): line.intensity_numeric for line in lines}
+    return dict(zip(_keys(lines), lines["intensity_numeric"].tolist()))
 
 
 def test_extended_inner_exact_modes_orthogonal():
@@ -78,6 +85,33 @@ def test_label_and_offset_validation():
         is_forbidden(1, 1, 1.5)
 
 
+def test_rules_are_elementwise_and_build_the_table():
+    # k up to ceil(zeta) gives every Bessel row the same recurrence, so a
+    # rule over arrays must equal its scalar calls exactly
+    p = _params(0.3, 5.5, dipole=1.5)
+    i, j = np.repeat([[1, 1, 2, 2], [1, 2, 1, 2]], 11, axis=1)
+    k = np.tile(np.arange(-5, 6), 4)
+    for rule, kind in ((is_forbidden, bool), (line_class, str), (functools.partial(line_intensity_analytic, p), float)):
+        scalars = [rule(a, b, c) for a, b, c in zip(i.tolist(), j.tolist(), k.tolist())]
+        assert {type(value) for value in scalars} == {kind}
+        column = rule(i, j, k).tolist()
+        assert column == scalars
+        assert [type(value) for value in column] == [type(value) for value in scalars]
+    # spectrum's rule columns are the rules applied to its own i, j and k
+    lines = spectrum(p, _modes(p), 9, include_forbidden=True)
+    ijk = (lines["i"], lines["j"], lines["k"])
+    assert np.array_equal(lines["forbidden"], is_forbidden(*ijk))
+    assert np.array_equal(lines["class"], line_class(*ijk))
+    assert np.array_equal(lines["intensity_analytic"], line_intensity_analytic(p, *ijk))
+    # arrays are checked like scalars
+    with pytest.raises(DomainError):
+        is_forbidden(np.array([1, 3]), j[:2], k[:2])
+    with pytest.raises(DomainError):
+        line_class(i[:2], np.array([2, 0]), k[:2])
+    with pytest.raises(DomainError):
+        line_intensity_analytic(p, i[:2], j[:2], np.array([1.0, 2.0]))
+
+
 def test_dipole_matrix_element_constant_modes():
     # bare states as constant modes: only the k = 0 cross-mode lines carry
     # the full dipole strength; every replica offset averages to zero
@@ -109,9 +143,10 @@ def test_analytic_intensities():
 def test_analytic_intensity_dipole_scaling():
     p1 = _params(0.1, math.pi, dipole=1.0)
     p3 = _params(0.1, math.pi, dipole=3.0)
-    assert line_intensity_analytic(p3, 1, 2, 0) == pytest.approx(
-        9.0 * line_intensity_analytic(p1, 1, 2, 0), rel=1e-12
-    )
+    for i, j, k in ((1, 2, 0), (1, 1, 1), (2, 1, -2)):
+        assert line_intensity_analytic(p3, i, j, k) == pytest.approx(
+            9.0 * line_intensity_analytic(p1, i, j, k), rel=1e-12
+        )
 
 
 def test_numeric_intensity_scales_with_dipole():
@@ -132,23 +167,24 @@ def test_numeric_matches_analytic_weak_detuning():
 
 def test_transition_frequency_same_mode_is_integer():
     lines = spectrum(_params(0.1, math.pi), _modes(_params(0.1, math.pi)), 3)
-    same = [line for line in lines if line.i == line.j]
-    assert len(same) == 8
-    for line in same:
-        assert line.frequency == abs(line.k)
-        assert line.direction == (1 if line.k > 0 else -1)
+    same = lines["i"] == lines["j"]
+    assert np.count_nonzero(same) == 8
+    k = lines["k"][same]
+    assert np.array_equal(lines["frequency"][same], np.abs(k))
+    assert np.array_equal(lines["direction"][same], np.where(k > 0, 1, -1))
 
 
 def test_transition_frequency_cross_mode():
     p = _params(0.1, math.pi)
     lines = spectrum(p, _modes(p), 2)
-    k0 = {(line.i, line.j): line for line in lines if line.k == 0}
-    assert set(k0) == {(1, 2), (2, 1)}
-    for line in k0.values():
-        assert line.frequency == pytest.approx(0.1 * abs(J0_PI), abs=1e-12)
+    k0 = lines["k"] == 0
+    keys = [key[:2] for key, zero in zip(_keys(lines), k0) if zero]
+    assert sorted(keys) == [(1, 2), (2, 1)]
+    for frequency in lines["frequency"][k0]:
+        assert frequency == pytest.approx(0.1 * abs(J0_PI), abs=1e-12)
     # J0(pi) < 0 puts mode 1 above mode 2: eps_2 - eps_1 = 0.1 * J0 < 0
-    assert k0[(1, 2)].direction == -1
-    assert k0[(2, 1)].direction == 1
+    direction = dict(zip(keys, lines["direction"][k0].tolist()))
+    assert direction == {(1, 2): -1, (2, 1): 1}
 
 
 def test_transition_frequency_uses_given_pair():
@@ -156,37 +192,37 @@ def test_transition_frequency_uses_given_pair():
     p = _params(0.1, math.pi)
     pair = analytic_quasienergies(p)
     levels = (pair.eps1, pair.eps2)
-    for line in spectrum(p, _modes(p), 3):
-        signed = levels[line.j - 1] - levels[line.i - 1] + line.k
-        assert line.frequency == abs(signed)
-        assert line.direction == (signed > 0) - (signed < 0)
+    lines = spectrum(p, _modes(p), 3)
+    for (i, j, k), frequency, direction in zip(_keys(lines), lines["frequency"], lines["direction"]):
+        signed = levels[j - 1] - levels[i - 1] + k
+        assert frequency == abs(signed)
+        assert direction == (signed > 0) - (signed < 0)
 
 
 def test_spectrum_row_counts_and_sorting():
     p = _params(0.1, 2.0)
     lines = spectrum(p, _modes(p), 3)
-    assert len(lines) == 14
-    freqs = [line.frequency for line in lines]
+    assert {column.shape for column in lines.values()} == {(14,)}
+    freqs = lines["frequency"].tolist()
     assert freqs == sorted(freqs)
-    assert all(not line.forbidden for line in lines)
+    assert not lines["forbidden"].any()
     full = spectrum(p, _modes(p), 3, include_forbidden=True)
-    assert len(full) == 28
-    assert sum(line.forbidden for line in full) == 14
+    assert {column.shape for column in full.values()} == {(28,)}
+    assert np.count_nonzero(full["forbidden"]) == 14
 
 
 def test_spectrum_classes_and_intensity_property():
     lines = spectrum(_params(0.1, 2.0), _modes(_params(0.1, 2.0)), 2)
-    for line in lines:
-        assert isinstance(line, TransitionLine)
-        assert line.line_class == line_class(line.i, line.j, line.k)
-        assert line.intensity_numeric >= 0.0
-        assert line.frequency >= 0.0
-        assert line.direction in (-1, 0, 1)
+    assert list(lines) == COLUMNS
+    assert all(isinstance(column, np.ndarray) for column in lines.values())
+    assert lines["class"].tolist() == [line_class(i, j, k) for i, j, k in _keys(lines)]
+    assert np.all(lines["intensity_numeric"] >= 0.0)
+    assert np.all(lines["frequency"] >= 0.0)
+    assert np.all(np.isin(lines["direction"], (-1, 0, 1)))
 
 
 def test_spectrum_hermiticity():
-    lines = spectrum(_params(0.1, math.pi), _modes(_params(0.1, math.pi)), 3)
-    table = {(line.i, line.j, line.k): line.intensity_numeric for line in lines}
+    table = _intensities(spectrum(_params(0.1, math.pi), _modes(_params(0.1, math.pi)), 3))
     for (i, j, k), value in table.items():
         assert table[(j, i, -k)] == pytest.approx(value, abs=1e-12)
 
@@ -194,18 +230,18 @@ def test_spectrum_hermiticity():
 def test_spectrum_doublet_collapse_at_crossing():
     p = _params(0.02, j0_zero(1))
     lines = spectrum(p, _modes(p), 3)
-    for line in lines:
-        assert abs(line.frequency - round(line.frequency)) <= 1e-9
-    cross_k2 = [line for line in lines if line.i != line.j and line.k in (2, -2)]
-    assert len(cross_k2) == 4
-    for line in cross_k2:
-        assert line.frequency == pytest.approx(2.0, abs=1e-9)
+    frequency = lines["frequency"]
+    assert np.all(np.abs(frequency - np.round(frequency)) <= 1e-9)
+    cross_k2 = (lines["i"] != lines["j"]) & (np.abs(lines["k"]) == 2)
+    assert np.count_nonzero(cross_k2) == 4
+    for value in frequency[cross_k2]:
+        assert value == pytest.approx(2.0, abs=1e-9)
 
 
 def test_spectrum_forbidden_leakage_small():
     p = _params(0.1, math.pi)
     lines = spectrum(p, _modes(p), 5, include_forbidden=True)
-    worst = max(line.intensity_numeric for line in lines if line.forbidden)
+    worst = lines["intensity_numeric"][lines["forbidden"]].max()
     assert worst <= 1e-10
 
 
@@ -218,10 +254,11 @@ def test_spectrum_sum_rule_per_final_mode():
     totals = []
     for k_max in (3, 5, 7, 9):
         lines = spectrum(p, modes, k_max)
-        for i in (1, 2):
-            total = sum(line.intensity_numeric for line in lines if line.i == i)
-            assert abs(total - mu2) <= 0.1 * mu2
-        totals.append(sum(line.intensity_numeric for line in lines if line.i == 1))
+        # summed in table order, one line after the other
+        total = [sum(lines["intensity_numeric"][lines["i"] == i].tolist()) for i in (1, 2)]
+        for value in total:
+            assert abs(value - mu2) <= 0.1 * mu2
+        totals.append(total[0])
     assert all(b >= a - 1e-15 for a, b in zip(totals, totals[1:]))
 
 
@@ -240,31 +277,30 @@ def test_spectrum_reads_one_bessel_row(monkeypatch):
     assert orders == [9]
     monkeypatch.undo()
     # J_|k| from the shared row agrees with the per-line closed form
-    for line in lines:
-        expected = line_intensity_analytic(p, line.i, line.j, line.k)
-        assert line.intensity_analytic == pytest.approx(expected, rel=2e-15, abs=0.0)
+    for (i, j, k), value in zip(_keys(lines), lines["intensity_analytic"].tolist()):
+        expected = line_intensity_analytic(p, i, j, k)
+        assert value == pytest.approx(expected, rel=2e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("delta, zeta", [(0.1, 2.0), (0.3, j0_zero(1))])
 def test_spectrum_metadata_matches_rules(delta, zeta):
-    # the table is built from arrays; each row must still agree with the
-    # per-line rules and come out as plain Python values in sorted order
+    # each row must agree with the per-line rules, every column is a 1-D
+    # array of the kind the CLI renders, and the rows come in sorted order
     p = _params(delta, zeta)
     pair = analytic_quasienergies(p)
     levels = (pair.eps1, pair.eps2)
     lines = spectrum(p, _modes(p), 9, include_forbidden=True)
-    assert len(lines) == 4 * 19
-    for line in lines:
-        assert type(line.i) is int and type(line.j) is int and type(line.k) is int
-        assert type(line.forbidden) is bool
-        assert type(line.line_class) is str
-        assert type(line.direction) is int
-        assert line.forbidden == is_forbidden(line.i, line.j, line.k)
-        assert line.line_class == line_class(line.i, line.j, line.k)
-        signed = levels[line.j - 1] - levels[line.i - 1] + line.k
-        assert line.direction == (signed > 0) - (signed < 0)
-        assert line.frequency == abs(signed)
-    keys = [(line.frequency, line.k, line.i, line.j) for line in lines]
+    assert {column.shape for column in lines.values()} == {(4 * 19,)}
+    kinds = {name: column.dtype.kind for name, column in lines.items()}
+    assert kinds == dict(zip(COLUMNS, "iiifffUbi"))
+    values = [lines[name].tolist() for name in ("frequency", "forbidden", "class", "direction")]
+    for (i, j, k), frequency, forbidden, family, direction in zip(_keys(lines), *values):
+        assert forbidden == is_forbidden(i, j, k)
+        assert family == line_class(i, j, k)
+        signed = levels[j - 1] - levels[i - 1] + k
+        assert direction == (signed > 0) - (signed < 0)
+        assert frequency == abs(signed)
+    keys = list(zip(lines["frequency"].tolist(), lines["k"].tolist(), lines["i"].tolist(), lines["j"].tolist()))
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
@@ -288,7 +324,6 @@ def test_intensities_match_shirley(zeta, delta):
     p = _params(delta, zeta)
     reference = shirley_line_intensities(delta, zeta, 5)
     lines = spectrum(p, build_modes(p).modes, 5)
-    assert len(lines) == 22
-    for line in lines:
-        expected = reference[(line.i, line.j, line.k)]
-        assert line.intensity_numeric == pytest.approx(expected, rel=1e-8), (line.i, line.j, line.k)
+    assert lines["i"].size == 22
+    for key, value in _intensities(lines).items():
+        assert value == pytest.approx(reference[key], rel=1e-8), key
