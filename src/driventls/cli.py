@@ -25,7 +25,7 @@ import numpy as np
 
 from .analytic import analytic_modes, analytic_quasienergies
 from .core import DomainError, DrivenTLSError, SystemParams, tau_grid, unitarity_defect
-from .floquet import build_mode_scan, build_modes, exact_quasienergy_scan, quasienergy_distance
+from .floquet import _raise_first, build_mode_scan, build_modes, exact_quasienergy_scan, quasienergy_distance
 from .propagator import PropagationConfig
 from .spectroscopy import spectrum
 
@@ -51,12 +51,6 @@ class RunConfig:
     params: SystemParams
     propagation: PropagationConfig
     n_grid: int = 512
-    output_format: str = "csv"
-    output_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.output_format not in _FORMATS:
-            raise DomainError(f"output format must be one of {_FORMATS}")
 
     def at_zeta(self, zeta: float) -> SystemParams:
         return dataclasses.replace(self.params, rabi=float(zeta) / 2.0)
@@ -91,12 +85,9 @@ def cmd_weights(config: RunConfig, zeta_list: list[float]) -> dict:
     can be plotted against each other directly.
     """
     blocks = []  # (zeta, mode label, source, samples) per mode
-    for zeta, solution in zip(zeta_list, _exact_solutions(config, zeta_list)):
-        params = config.at_zeta(zeta)
-        if isinstance(solution, DrivenTLSError):
-            raise solution
-        sources = (("exact", solution.modes), ("analytic", analytic_modes(params, config.n_grid)))
-        for source, modes in sources:
+    for zeta, solution in zip(zeta_list, _raise_first(_exact_solutions(config, zeta_list))):
+        analytic = analytic_modes(config.at_zeta(zeta), config.n_grid)
+        for source, modes in (("exact", solution.modes), ("analytic", analytic)):
             for mode in modes:
                 blocks.append((float(zeta), mode.label, source, mode.samples))
     zetas, labels, names, samples = zip(*blocks)
@@ -173,14 +164,12 @@ def cmd_sweep(
         for eps in ("eps1", "eps2"):
             rows[f"{eps}_{source}"] = np.add.outer([getattr(p, eps) for p in pairs], ns).ravel()
     crossings, brackets = [], []
-    for idx in range(len(zetas) - 1):
-        if gaps[idx] == 0.0:
+    for idx, gap in enumerate(gaps):
+        if gap == 0.0:
             crossings.append(float(zetas[idx]))
-        elif gaps[idx] * gaps[idx + 1] < 0.0:
+        elif idx + 1 < len(gaps) and gap * gaps[idx + 1] < 0.0:
             crossings.append(None)
-            brackets.append((float(zetas[idx]), float(zetas[idx + 1]), gaps[idx], gaps[idx + 1]))
-    if gaps and gaps[-1] == 0.0:
-        crossings.append(float(zetas[-1]))
+            brackets.append((float(zetas[idx]), float(zetas[idx + 1]), gap, gaps[idx + 1]))
     # the brackets' zeros fill their places in order
     located = iter(_crossings(config, brackets))
     crossings = [next(located) if zeta is None else zeta for zeta in crossings]
@@ -260,14 +249,10 @@ def cmd_validate(config: RunConfig, zeta_list: list[float]) -> dict:
             checks.append(_validate_one(config, zeta, solution))
         except DrivenTLSError as exc:
             checks.append(_check(zeta, (None,) * len(_METRICS), (False,) * len(_GATES), str(exc)))
-    # a column holding None (a refused zeta) has no numpy type and stays a list
-    columns = {key: [check[key] for check in checks] for key in checks[0]}
     payload = {"command": "validate", "params": _param_echo(config)}
     payload["thresholds"] = dict(_THRESHOLDS)
-    payload["checks"] = {
-        key: column if None in column else np.array(column) for key, column in columns.items()
-    }
-    payload["overall_pass"] = all(columns["pass"])
+    payload["checks"] = {key: [check[key] for check in checks] for key in checks[0]}
+    payload["overall_pass"] = all(payload["checks"]["pass"])
     return payload
 
 
@@ -402,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--delta", type=float, default=0.02, help="detuning over drive frequency (default 0.02)")
     drive = common.add_mutually_exclusive_group()
-    drive.add_argument("--rabi", type=float, default=None, help="Rabi amplitude over drive frequency")
+    drive.add_argument("--rabi", type=float, default=math.pi / 10.0, help="Rabi amplitude over drive frequency")
     drive.add_argument("--zeta", type=float, default=None, help="drive strength 2*rabi (default pi/5)")
     common.add_argument("--mu", type=float, default=1.0, help="dipole moment (default 1)")
     common.add_argument("--steps", type=int, default=4096, help="integrator steps per period (default 4096)")
@@ -430,18 +415,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.rabi is not None:
-            rabi = args.rabi
-        elif args.zeta is not None:
-            rabi = args.zeta / 2.0
-        else:
-            rabi = math.pi / 10.0
+        rabi = args.rabi if args.zeta is None else args.zeta / 2.0
         config = RunConfig(
             params=SystemParams(delta=args.delta, rabi=rabi, dipole=args.mu),
             propagation=PropagationConfig(steps_per_period=args.steps),
             n_grid=args.grid,
-            output_format=args.format,
-            output_path=args.out,
         )
         if args.command == "sweep" and not args.zeta_min < args.zeta_max:
             raise DomainError("--zeta-min must be below --zeta-max")
@@ -461,16 +439,15 @@ def main(argv: list[str] | None = None) -> int:
             payload = cmd_spectrum(config, args.k_max, args.include_forbidden)
         else:
             payload = cmd_validate(config, args.zetas)
-        output_format = "json" if args.command == "validate" else config.output_format
-        text = render(payload, output_format)
+        text = render(payload, "json" if args.command == "validate" else args.format)
     except DrivenTLSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
     try:
-        _write_output(text, config.output_path)
+        _write_output(text, args.out)
     except OSError as exc:
-        print(f"error: cannot write {config.output_path}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 3
 
     if args.command == "validate" and not payload["overall_pass"]:

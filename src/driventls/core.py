@@ -57,7 +57,9 @@ class SystemParams:
     Arguments:
         delta: transition frequency over drive frequency, >= 0.
         rabi: Rabi frequency over drive frequency, >= 0.
-        dipole: dipole matrix element mu; intensities scale as mu**2.
+        dipole: dipole matrix element mu in [1e-100, 1e100]; intensities
+            scale as mu**2, which stays a normal float there, as does
+            1e-12 mu**2, the bound weak lines are held to.
 
     Any real number, numpy scalars included, is accepted and stored as a
     plain float; bool is rejected.
@@ -81,8 +83,8 @@ class SystemParams:
             raise ParameterError(f"delta must be >= 0, got {self.delta}")
         if self.rabi < 0:
             raise ParameterError(f"rabi must be >= 0, got {self.rabi}")
-        if self.dipole <= 0:
-            raise ParameterError(f"dipole must be > 0, got {self.dipole}")
+        if not 1e-100 <= self.dipole <= 1e100:
+            raise ParameterError(f"dipole must be in [1e-100, 1e100], got {self.dipole}")
 
     @classmethod
     def from_zeta(cls, delta: float, zeta: float, dipole: float = 1.0) -> SystemParams:

@@ -127,6 +127,15 @@ def test_sweep_finds_crossing(capsys):
     assert payload["crossings"][0] == pytest.approx(2.404825557695773, abs=0.01)
 
 
+def test_sweep_lists_exact_zeros_at_every_grid_point(capsys):
+    # without detuning the parity gap is exactly 0 at every drive strength, so
+    # every grid point, the first and the last included, is a crossing
+    argv = ["sweep", "--delta", "0", "--zeta-steps", "5", "--manifolds", "0", "--format", "json"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["crossings"] == [0.0, 1.5, 3.0, 4.5, 6.0]
+
+
 def _shirley_crossing(delta, lo, hi):
     g_lo = shirley_parity_gap(delta, lo)
     assert g_lo * shirley_parity_gap(delta, hi) < 0.0
@@ -347,6 +356,10 @@ def test_one_process_runs_like_fresh_ones(capsys):
         ["weights", "--zetas", "-1"],
         ["weights", "--zetas", "0.6", "--grid", "64"],
         ["validate", "--zetas", "3.1", "--grid", "64"],
+        ["spectrum", "--zeta", "3.1", "--grid", "64", "--format", "json"],
+        ["spectrum", "--grid", "64", "--format", "json"],
+        ["spectrum", "--rabi", "0.3", "--grid", "64"],
+        ["spectrum", "--zeta", "0.6", "--grid", "64"],
     ]
 
     def outcome(argv):
@@ -363,11 +376,16 @@ def test_one_process_runs_like_fresh_ones(capsys):
         driventls.cli._build_parser.cache_clear()
         fresh.append(outcome(argv))
     assert in_process == fresh
-    assert [code for code, _, _ in in_process] == [0, 2, 0, 0]
+    assert [code for code, _, _ in in_process] == [0, 2, 0, 0, 0, 0, 0, 0]
     weights, validate = in_process[2][1], json.loads(in_process[3][1])
     assert "# params.delta = 0.02\n" in weights and "# params.dipole = 1\n" in weights
     assert "# params.steps_per_period = 4096\n" in weights and weights.startswith("# command")
     assert validate["params"]["delta"] == 0.02 and validate["params"]["dipole"] == 1
+    # the drive strength of a --zeta run does not carry over into a run without one
+    assert json.loads(in_process[4][1])["params"]["zeta"] == 3.1
+    assert json.loads(in_process[5][1])["params"]["rabi"] == math.pi / 10
+    # --rabi R and --zeta 2R are one drive strength, byte for byte
+    assert in_process[6] == in_process[7]
 
 
 def test_closed_form_bessel_row_budget(monkeypatch, capsys):
@@ -449,6 +467,44 @@ def test_usage_errors_exit_2(capsys):
             main(argv)
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "mu", [repr(float(np.nextafter(1e-100, 0.0))), repr(float(np.nextafter(1e100, math.inf))), "1e-200", "1e155"]
+)
+def test_dipole_outside_domain_exits_2(capsys, mu):
+    # mu**2 would be subnormal or overflow: one usage line and one error line
+    for command in (["spectrum"], ["validate", "--zetas", "0.6"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--mu", mu])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2 and captured.out == ""
+        usage, error = captured.err.splitlines()
+        assert usage.startswith("usage: driventls ")
+        assert error == f"driventls: error: dipole must be in [1e-100, 1e100], got {float(mu)!r}"
+
+
+@pytest.mark.parametrize("mu", ["1e-100", "1e100"])
+@pytest.mark.parametrize(
+    "argv",
+    [["--zetas", "0.6", "3.1"], ["--delta", "0", "--zetas", "0.6", "9.932314258317383"]],
+)
+def test_validate_at_dipole_bounds_matches_unit_dipole(capsys, mu, argv):
+    # the metrics are ratios to mu**2 or do not involve it, so both bounds of
+    # the dipole domain give the mu = 1 report to 1e-12, weak-line gate
+    # included; at zero detuning the intensity error is rounding (~1e-14) of
+    # the k = 0 lines and is held to 1e-12 absolute
+    base = ["validate", *argv, "--grid", "128"]
+    code, out, err = _run(capsys, [*base, "--mu", mu])
+    assert code == 0 and err == ""
+    unit = json.loads(_run(capsys, base)[1])["checks"]
+    for check, reference in zip(json.loads(out)["checks"], unit, strict=True):
+        for key, value in reference.items():
+            if isinstance(value, float):
+                floor = 1e-12 if key == "max_intensity_rel_error" else 0.0
+                assert check[key] == pytest.approx(value, rel=1e-12, abs=floor), key
+            else:
+                assert check[key] == value, key
 
 
 def test_runtime_error_exits_3(capsys):

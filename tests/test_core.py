@@ -49,6 +49,17 @@ def test_params_validation():
     assert type(p.delta) is float and type(p.rabi) is float and type(p.dipole) is float
 
 
+@pytest.mark.parametrize("bound, outward, far", [(1e-100, 0.0, 1e-160), (1e100, math.inf, 1e155)])
+def test_dipole_domain(bound, outward, far):
+    # mu**2 overflows past 1e154 and goes subnormal below 1e-154, so the
+    # domain stops well inside: both bounds are accepted, the next float out refused
+    for dipole in (bound, np.nextafter(bound, 1.0)):
+        assert SystemParams(delta=0.1, rabi=1.0, dipole=dipole).dipole == dipole
+    for dipole in (np.nextafter(bound, outward), far):
+        with pytest.raises(ParameterError, match=r"dipole must be in \[1e-100, 1e100\]"):
+            SystemParams(delta=0.1, rabi=1.0, dipole=dipole)
+
+
 def test_params_immutable():
     p = SystemParams(delta=0.1, rabi=1.0)
     with pytest.raises(Exception):
