@@ -14,12 +14,14 @@ Exit codes: 0 success (and validation passed), 1 validation failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -42,6 +44,8 @@ _METRICS = ("quasienergy_gap", "min_mode_fidelity", "max_forbidden_leakage", "ma
 _GATES = ("pass_quasienergy", "pass_fidelity", "pass_selection_rules", "pass_intensities", "pass_unitarity")
 
 _FORMATS = ("csv", "json")
+
+_CHUNK_ROWS = 1024  # table rows per written chunk; 256 to 4096 render alike, more only holds more text
 
 
 @dataclass(frozen=True)
@@ -294,34 +298,49 @@ def _is_table(value) -> bool:
     return any(isinstance(column, (list, np.ndarray)) for column in columns)
 
 
-def _to_json(payload: dict) -> str:
-    # one join over every piece keeps a single copy of the table text alive
-    pieces = []
-    for key, value in payload.items():
-        pieces += [",\n" if pieces else "{\n", f"  {json.dumps(key)}: "]
+def _rows(texts: list[list[str]], seps: list[str], first: str, last: str) -> Iterator[str]:
+    """Text of a table's rows, _CHUNK_ROWS per chunk and none without rows: each cell
+    follows its column's separator, but the very first follows `first`; `last` ends it."""
+    width, n = len(texts), len(texts[0])
+    for start in range(0, n, _CHUNK_ROWS):
+        count = min(_CHUNK_ROWS, n - start)
+        pieces = [None] * (2 * width * count)
+        for j, (sep, cells) in enumerate(zip(seps, texts)):
+            pieces[2 * j :: 2 * width] = [sep] * count
+            pieces[2 * j + 1 :: 2 * width] = cells[start : start + count]
+        if start == 0:
+            pieces[0] = first
+        if start + count == n:
+            pieces.append(last)
+        yield "".join(pieces)
+
+
+def _to_json(payload: dict) -> Iterator[str]:
+    text = ""  # not yet handed out: it leads the next table chunk, or ends the document
+    for i, (key, value) in enumerate(payload.items()):
+        text += (",\n" if i else "{\n") + f"  {json.dumps(key)}: "
         if _is_table(value):
-            fields = [f'      {json.dumps(name).replace("%", "%%")}: %s' for name in value]
-            template = "    {\n" + ",\n".join(fields) + "\n    }"
-            rows = ",\n".join(map(template.__mod__, zip(*_texts(list(value.values()), True))))
-            pieces += ["[\n", rows, "\n  ]"] if rows else ["[]"]
+            texts = _texts(list(value.values()), True)
+            names = [json.dumps(name) for name in value]
+            seps = [f"\n    }},\n    {{\n      {names[0]}: "] + [f",\n      {name}: " for name in names[1:]]
+            yield from _rows(texts, seps, f"{text}[\n    {{\n      {names[0]}: ", "\n    }\n  ]")
+            text = "" if texts[0] else text + "[]"
         elif isinstance(value, dict):
             cells = _texts([[v] for v in value.values()], True)
             fields = [f"    {json.dumps(sub)}: {cell}" for sub, (cell,) in zip(value, cells)]
-            pieces.append("{\n" + ",\n".join(fields) + "\n  }" if fields else "{}")
+            text += "{\n" + ",\n".join(fields) + "\n  }" if fields else "{}"
         elif isinstance(value, list):
-            pieces.append("[" + ", ".join(_texts([value], True)[0]) + "]")
+            text += "[" + ", ".join(_texts([value], True)[0]) + "]"
         else:
-            pieces.append(_texts([[value]], True)[0][0])
-    return "".join(pieces + ["\n}\n"])
+            text += _texts([[value]], True)[0][0]
+    yield text + "\n}\n"
 
 
-def _to_csv(payload: dict) -> str:
-    lines, body = [], []
+def _to_csv(payload: dict) -> Iterator[str]:
+    lines, tables = [], []
     for key, value in payload.items():
         if _is_table(value):
-            rows = list(map(",".join, zip(*_texts(list(value.values()), False))))
-            if rows:
-                body += [",".join(value), *rows]
+            tables.append(value)
         elif isinstance(value, dict):
             cells = _texts([[v] for v in value.values()], False)
             lines += [f"# {key}.{sub} = {cell}" for sub, (cell,) in zip(value, cells)]
@@ -329,29 +348,30 @@ def _to_csv(payload: dict) -> str:
             lines.append(f"# {key} = [{', '.join(_texts([value], False)[0])}]")
         else:
             lines.append(f"# {key} = {_texts([[value]], False)[0][0]}")
-    return "\n".join(lines + body + [""])
+    text = "".join(line + "\n" for line in lines)  # handed out with the first table row
+    for table in tables:
+        texts = _texts(list(table.values()), False)
+        yield from _rows(texts, ["\n"] + [","] * (len(texts) - 1), text + ",".join(table) + "\n", "\n")
+        text = "" if texts[0] else text
+    yield text
 
 
-def render(payload: dict, output_format: str) -> str:
+def render(payload: dict, output_format: str, out: TextIO | None = None) -> str | None:
     """Serialize a command payload to CSV or JSON text.
 
     A payload maps names to scalars, flat dicts, flat lists and tables: dicts
     of equal-length columns, each a 1-D array or a list that may hold None.
     CSV puts the table after `#` header lines; JSON writes it as row objects.
+    Given a text stream `out`, each chunk of _CHUNK_ROWS rows is written to it
+    as soon as it is built, so the document is never whole; else it is returned.
     """
-    if output_format == "json":
-        return _to_json(payload)
-    if output_format == "csv":
-        return _to_csv(payload)
-    raise DomainError(f"output format must be one of {_FORMATS}")
-
-
-def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    if output_format not in _FORMATS:
+        raise DomainError(f"output format must be one of {_FORMATS}")
+    chunks = _to_json(payload) if output_format == "json" else _to_csv(payload)
+    if out is None:
+        return "".join(chunks)
+    for chunk in chunks:
+        out.write(chunk)
 
 
 def _at_least(kind, low):
@@ -439,15 +459,24 @@ def main(argv: list[str] | None = None) -> int:
             payload = cmd_spectrum(config, args.k_max, args.include_forbidden)
         else:
             payload = cmd_validate(config, args.zetas)
-        text = render(payload, "json" if args.command == "validate" else args.format)
     except DrivenTLSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
+    output_format = "json" if args.command == "validate" else args.format
     try:
-        _write_output(text, args.out)
+        if args.out is None:
+            render(payload, output_format, sys.stdout)
+            sys.stdout.flush()  # a buffered stream reports a failed write here
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                render(payload, output_format, handle)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {'stdout' if args.out is None else args.out}: {exc}", file=sys.stderr)
+        if args.out is None and sys.stdout is sys.__stdout__:
+            # the stream keeps what it failed to write and would fail again flushing it at exit
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
         return 3
 
     if args.command == "validate" and not payload["overall_pass"]:

@@ -1,6 +1,12 @@
+import contextlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -657,3 +663,117 @@ def test_render_contract():
 def test_render_rejects_unknown_format():
     with pytest.raises(DomainError):
         render({"rows": []}, "yaml")
+
+
+class _Sink:
+    """stdout stand-in that keeps each chunk written to it, or discards them."""
+
+    def __init__(self, keep=True, fail_at=None):
+        self.chunks, self.writes, self.keep, self.fail_at = [], 0, keep, fail_at
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise OSError(28, "No space left on device")
+        if self.keep:
+            self.chunks.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _contract_rows(n):
+    """_CONTRACT_PAYLOAD with its four rows cycled to n rows, plus a column whose name needs escaping."""
+    table = {**_CONTRACT_PAYLOAD["rows"], '50% "odd"': np.array([0.25, -1.5, 2.0, 1e10])}
+    index = np.arange(n) % 4
+    rows = {k: [c[i] for i in index] if isinstance(c, list) else c[index] for k, c in table.items()}
+    return {**_CONTRACT_PAYLOAD, "rows": rows}
+
+
+def _cycled_text(fmt, n):
+    """The four-row text with its rows cycled to n rows: what rendering n rows must give."""
+    text = render(_contract_rows(4), fmt)
+    if fmt == "csv":
+        lines = text.splitlines(keepends=True)
+        return "".join(lines[:-4] + [lines[-4 + i % 4] for i in range(n)] if n else lines[:-5])
+    start = text.index('  "rows": [\n') + len('  "rows": [\n')
+    end = text.index("\n  ]", start)
+    blocks = [block + "\n    }" for block in text[start : end - len("\n    }")].split("\n    },\n")]
+    if not n:
+        return text[: start - 2] + "[]" + text[end + len("\n  ]") :]
+    return text[:start] + ",\n".join(blocks[i % 4] for i in range(n)) + text[end:]
+
+
+_CHUNK = driventls.cli._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", [0, 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK])
+def test_row_chunks_are_invisible(fmt, n):
+    payload = _contract_rows(n)
+    sink = _Sink()
+    assert render(payload, fmt, sink) is None
+    text = render(payload, fmt)
+    # compared as line lists, whose failure report is short where two long strings' is slow
+    assert "".join(sink.chunks).split("\n") == text.split("\n") == _cycled_text(fmt, n).split("\n")
+    assert len(sink.chunks) >= math.ceil(n / _CHUNK)
+    if fmt == "json":
+        rows = json.loads(text)["rows"]
+        assert len(rows) == n and all(row['50% "odd"'] == [0.25, -1.5, 2.0, 1e10][i % 4] for i, row in enumerate(rows))
+    else:
+        assert (n > 0) == ('x,y,n,ok,maybe,label,50% "odd"\n' in text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_out_file_equals_stdout_for_a_multi_chunk_table(tmp_path, capsys, fmt):
+    argv = ["weights", "--zetas", "0.6", "--grid", "4096", "--format", fmt]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0 and out.count("\n") > 3 * _CHUNK
+    path = tmp_path / f"weights.{fmt}"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert path.read_bytes() == out.encode()
+
+
+def test_stdout_failing_mid_table_exits_3_naming_stdout(capsys):
+    sink = _Sink(fail_at=2)
+    with contextlib.redirect_stdout(sink):
+        code = main(["weights", "--zetas", "0.6", "--grid", "1024"])
+    assert code == 3 and sink.writes == 2 and len(sink.chunks) == 1
+    assert capsys.readouterr().err == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_3_in_a_fresh_process():
+    # a buffered stdout that failed to flush must not fail again at interpreter exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(driventls.cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "driventls.cli", "spectrum", "--grid", "64", "--k-max", "1"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+def test_streamed_table_never_holds_the_document():
+    config = driventls.cli.RunConfig(
+        params=driventls.SystemParams(delta=0.02, rabi=0.3, dipole=1.0),
+        propagation=driventls.PropagationConfig(steps_per_period=4096),
+        n_grid=4096,
+    )
+    payload = driventls.cli.cmd_weights(config, [0.6, 3.1])
+    columns = list(payload["rows"].values())
+    for fmt in ("csv", "json"):
+        chunk = max(map(len, driventls.cli._to_json(payload) if fmt == "json" else driventls.cli._to_csv(payload)))
+        tracemalloc.start()
+        try:
+            driventls.cli._texts(columns, fmt == "json")
+            texts_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            render(payload, fmt, _Sink(keep=False))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 32768 rows are 32 chunks, so one whole copy of the document would add ~30
+        assert peak < texts_peak + 3 * chunk, fmt
