@@ -38,8 +38,7 @@ def phi(params: SystemParams, tau):
     return _unwrap(params.rabi * np.sin(t))
 
 
-def _coefficient_row(params: SystemParams) -> np.ndarray:
-    zeta = params.zeta
+def _coefficient_row(zeta: float) -> np.ndarray:
     return bessel_row(series_cutoff(zeta), zeta)
 
 
@@ -53,15 +52,18 @@ def _xi_a_from_row(row: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.cos(np.multiply.outer(t, ns)) @ (row[ns] / ns)
 
 
-def _grid_series(row: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """xi_s and xi_a at tau_grid(n) from one inverse FFT: xi_a + i xi_s = sum c_k e^{i k tau},
-    c_{+-k} = J_k / 2k for odd k and +-J_k / 2k for even k, each read at k mod n.  Sampled
-    harmonics alias, so a row past n / 2 folds onto the grid and still equals the direct sum."""
-    ns = np.arange(1, row.size)
-    half = row[1:] / ns / 2.0
-    c = np.bincount(ns % n, half, n) + np.bincount(-ns % n, np.where(ns % 2, half, -half), n)
+def _grid_series(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """xi_s and xi_a at tau_grid(n) for each Bessel row, shape (m, n) each, from one inverse FFT
+    over the stack: xi_a + i xi_s = sum c_k e^{i k tau}, c_{+-k} = J_k / 2k for odd k and
+    +-J_k / 2k for even k, each read at k mod n.  Sampled harmonics alias, so a row past n / 2
+    folds onto the grid and still equals the direct sum."""
+    coefficients = np.zeros((len(rows), n))
+    for c, row in zip(coefficients, rows):
+        ns = np.arange(1, row.size)
+        half = row[1:] / ns / 2.0
+        c[:] = np.bincount(ns % n, half, n) + np.bincount(-ns % n, np.where(ns % 2, half, -half), n)
     # numpy.fft loads on first use, so importing the package does not pay for it
-    z = np.fft.ifft(c, norm="forward")
+    z = np.fft.ifft(coefficients, norm="forward")
     return z.imag, z.real
 
 
@@ -72,7 +74,7 @@ def xi_s(params: SystemParams, tau):
     half-period shift.
     """
     t = _as_tau_array(tau)
-    return _unwrap(_xi_s_from_row(_coefficient_row(params), t))
+    return _unwrap(_xi_s_from_row(_coefficient_row(params.zeta), t))
 
 
 def xi_a(params: SystemParams, tau):
@@ -82,7 +84,7 @@ def xi_a(params: SystemParams, tau):
     antisymmetric under a half-period shift.
     """
     t = _as_tau_array(tau)
-    return _unwrap(_xi_a_from_row(_coefficient_row(params), t))
+    return _unwrap(_xi_a_from_row(_coefficient_row(params.zeta), t))
 
 
 def _eta_from_row(delta: float, row: np.ndarray, j0: float, t: np.ndarray) -> np.ndarray:
@@ -93,8 +95,14 @@ def _eta_from_row(delta: float, row: np.ndarray, j0: float, t: np.ndarray) -> np
 def eta(params: SystemParams, tau):
     """Complex phase function i*(xi_a(0) - exp(-i delta J_0 tau) xi_a(tau))."""
     t = _as_tau_array(tau)
-    row = _coefficient_row(params)
+    row = _coefficient_row(params.zeta)
     return _unwrap(_eta_from_row(params.delta, row, bessel_j(0, params.zeta), t))
+
+
+def _quasienergies(delta: float, zetas) -> np.ndarray:
+    """-(delta/2) J_0(zeta) and +(delta/2) J_0(zeta), folded, at every zeta, (m, 2): one J_0 each."""
+    halves = [0.5 * delta * bessel_j(0, zeta) for zeta in zetas]
+    return np.reshape([(fold_quasienergy(-e), fold_quasienergy(e)) for e in halves], (-1, 2))
 
 
 def analytic_quasienergies(params: SystemParams) -> QuasienergyPair:
@@ -103,37 +111,38 @@ def analytic_quasienergies(params: SystemParams) -> QuasienergyPair:
     Mode 1 is the one connected to the ground state at zero drive.  Both
     values are folded into (-1/2, 1/2].
     """
-    e = 0.5 * params.delta * bessel_j(0, params.zeta)
-    return QuasienergyPair(fold_quasienergy(-e), fold_quasienergy(e))
+    return QuasienergyPair(*_quasienergies(params.delta, [params.zeta])[0])
 
 
-def _raw_states(
-    params: SystemParams, row: np.ndarray, t: np.ndarray, series=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalised first-order spinors of mode 1 and mode 2 at the phases t; series is
-    (xi_s, xi_a) at t, by default their direct sums."""
-    ph = params.rabi * np.sin(t)
-    xs, xa = series or (_xi_s_from_row(row, t), _xi_a_from_row(row, t))
+def _raw_states(delta: float, rabis: np.ndarray, t: np.ndarray, xs: np.ndarray, xa: np.ndarray) -> np.ndarray:
+    """Unnormalised first-order spinors of both modes, shape (m, 2, t.size, 2), at the Rabi
+    amplitudes rabis (m, 1) and the phases t, where the series are xs = xi_s and xa = xi_a."""
+    ph = rabis * np.sin(t)
     c, s = np.cos(ph), np.sin(ph)
-    d = params.delta
     u = xs * c - xa * s
     v = xs * s + xa * c
-    mode1 = np.stack([c + 1j * d * u, 1j * (s + 1j * d * v)], axis=-1)
-    mode2 = np.stack([1j * (s - 1j * d * v), c - 1j * d * u], axis=-1)
-    return mode1, mode2
+    du, dv = 1j * delta * u, 1j * delta * v
+    out = np.empty(ph.shape[:1] + (2,) + ph.shape[1:] + (2,), dtype=complex)
+    out[:, 0, :, 0], out[:, 0, :, 1] = c + du, 1j * (s + dv)
+    out[:, 1, :, 0], out[:, 1, :, 1] = 1j * (s - dv), c - du
+    return out
 
 
-def _states(params: SystemParams, t: np.ndarray, on_grid: bool = False) -> list[np.ndarray]:
-    """Both first-order modes at the phases t from one Bessel row, phase-anchored at tau = 0;
-    on_grid means t = tau_grid(t.size), where the series come from one inverse FFT."""
-    row = _coefficient_row(params)
-    raw = _raw_states(params, row, t, _grid_series(row, t.size) if on_grid else None)
-    zero = _raw_states(params, row, np.zeros(1))
-    states = []
-    for out, anchor in zip(raw, zero):
-        out = out / np.linalg.norm(out, axis=-1, keepdims=True)
-        states.append(out * _phase_factor(anchor[0]))
-    return states
+def _states(delta: float, zetas, t: np.ndarray, on_grid: bool = False) -> np.ndarray:
+    """Both first-order modes at the phases t (1-D) for every zeta, shape (m, 2, t.size, 2) with
+    [k, i - 1] mode i at zetas[k], unit norm and phase-anchored at tau = 0.  Each zeta reads one
+    Bessel row, for its series and its anchor; on_grid means t = tau_grid(t.size), where the
+    series of every zeta come from one inverse FFT."""
+    rows = [_coefficient_row(zeta) for zeta in zetas]
+    zero = np.zeros(1)
+
+    def direct(at):
+        return [np.reshape([f(row, at) for row in rows], (-1, at.size)) for f in (_xi_s_from_row, _xi_a_from_row)]
+
+    rabis = np.reshape(zetas, (-1, 1)) / 2.0
+    states = _raw_states(delta, rabis, t, *(_grid_series(rows, t.size) if on_grid else direct(t)))
+    states = states / np.linalg.norm(states, axis=-1, keepdims=True)
+    return states * _phase_factor(_raw_states(delta, rabis, zero, *direct(zero)))
 
 
 def analytic_floquet_state(params: SystemParams, label: int, tau) -> np.ndarray:
@@ -153,10 +162,8 @@ def analytic_floquet_state(params: SystemParams, label: int, tau) -> np.ndarray:
     if label not in (1, 2):
         raise DomainError(f"mode label must be 1 or 2, got {label!r}")
     t = _as_tau_array(tau)
-    out = _states(params, np.atleast_1d(t))[label - 1]
-    if np.ndim(tau) == 0:
-        return out[0]
-    return out
+    out = _states(params.delta, [params.zeta], t.reshape(-1))[0, label - 1]
+    return out.reshape(t.shape + (2,))
 
 
 def analytic_evolution(params: SystemParams, tau: float) -> np.ndarray:
@@ -174,7 +181,7 @@ def analytic_evolution(params: SystemParams, tau: float) -> np.ndarray:
         raise DomainError("tau must be finite")
     d = params.delta
     ph = params.rabi * math.sin(t)
-    row = _coefficient_row(params)
+    row = _coefficient_row(params.zeta)
     j0 = bessel_j(0, params.zeta)
     frame = np.array(
         [[math.cos(ph), 1j * math.sin(ph)], [1j * math.sin(ph), math.cos(ph)]],
@@ -205,6 +212,6 @@ def analytic_modes(params: SystemParams, n_grid: int = 512) -> tuple[FloquetMode
     """
     if not isinstance(n_grid, (int, np.integer)) or n_grid < 64 or n_grid % 2 != 0:
         raise DomainError(f"n_grid must be an even integer >= 64, got {n_grid!r}")
-    pair = analytic_quasienergies(params)
-    state1, state2 = _states(params, tau_grid(n_grid), on_grid=True)
-    return FloquetMode(1, pair.eps1, state1), FloquetMode(2, pair.eps2, state2)
+    eps = _quasienergies(params.delta, [params.zeta])[0]
+    states = _states(params.delta, [params.zeta], tau_grid(n_grid), on_grid=True)[0]
+    return FloquetMode(1, eps[0], states[0]), FloquetMode(2, eps[1], states[1])

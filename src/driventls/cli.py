@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import math
@@ -25,11 +24,11 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .analytic import analytic_modes, analytic_quasienergies
+from .analytic import _quasienergies, _states
 from .core import DomainError, DrivenTLSError, SystemParams, tau_grid, unitarity_defect
-from .floquet import _raise_first, build_mode_scan, build_modes, exact_quasienergy_scan, quasienergy_distance
+from .floquet import _mode_scan, _raise_first, build_modes, exact_quasienergy_scan, quasienergy_distance
 from .propagator import PropagationConfig
-from .spectroscopy import spectrum
+from .spectroscopy import _line_stack, spectrum
 
 _THRESHOLDS = {
     "quasienergy_gap": 2e-3,
@@ -56,9 +55,6 @@ class RunConfig:
     propagation: PropagationConfig
     n_grid: int = 512
 
-    def at_zeta(self, zeta: float) -> SystemParams:
-        return dataclasses.replace(self.params, rabi=float(zeta) / 2.0)
-
 
 def _param_echo(config: RunConfig) -> dict:
     p, prop = config.params, config.propagation
@@ -72,37 +68,25 @@ def _param_echo(config: RunConfig) -> dict:
     }
 
 
-def _exact_solutions(config: RunConfig, zeta_list: list[float]) -> list:
-    """build_modes at every zeta from one batched propagation, or the error of each zeta."""
-    if not zeta_list:
-        raise DomainError("zeta list must be non-empty")
-    try:
-        return build_mode_scan(config.params.delta, zeta_list, config.propagation, config.n_grid)
-    except DrivenTLSError as exc:  # a bad grid, which refuses every zeta
-        return [exc] * len(zeta_list)
-
-
 def cmd_weights(config: RunConfig, zeta_list: list[float]) -> dict:
     """Bare-state weights of both modes over one period, per drive strength.
 
     Rows carry both the exact-solver and the closed-form states so the two
     can be plotted against each other directly.
     """
-    blocks = []  # (zeta, mode label, source, samples) per mode
-    for zeta, solution in zip(zeta_list, _raise_first(_exact_solutions(config, zeta_list))):
-        analytic = analytic_modes(config.at_zeta(zeta), config.n_grid)
-        for source, modes in (("exact", solution.modes), ("analytic", analytic)):
-            for mode in modes:
-                blocks.append((float(zeta), mode.label, source, mode.samples))
-    zetas, labels, names, samples = zip(*blocks)
-    n = config.n_grid
+    errors, _, exact, _ = _mode_scan(config.params.delta, zeta_list, config.propagation, config.n_grid)
+    _raise_first(errors)
+    n, m = config.n_grid, len(zeta_list)
+    analytic = _states(config.params.delta, zeta_list, tau_grid(n), on_grid=True)
+    # per zeta its exact, then its analytic modes, each mode 1 then mode 2
+    weights = np.concatenate([np.abs(exact) ** 2, np.abs(analytic) ** 2], axis=1)
     rows = {
-        "zeta": np.repeat(zetas, n),
-        "mode": np.repeat(labels, n),
-        "source": np.repeat(names, n),
-        "tau": np.tile(tau_grid(n), len(blocks)),
-        "weight1": np.concatenate([np.abs(s[:, 0]) ** 2 for s in samples]),
-        "weight2": np.concatenate([np.abs(s[:, 1]) ** 2 for s in samples]),
+        "zeta": np.repeat(np.asarray(zeta_list, dtype=float), 4 * n),
+        "mode": np.tile(np.repeat([1, 2], n), 2 * m),
+        "source": np.tile(np.repeat(["exact", "analytic"], 2 * n), m),
+        "tau": np.tile(tau_grid(n), 4 * m),
+        "weight1": weights[..., 0].ravel(),
+        "weight2": weights[..., 1].ravel(),
     }
     payload = {"command": "weights", "params": _param_echo(config)}
     payload["zetas"] = [float(z) for z in zeta_list]
@@ -159,14 +143,13 @@ def cmd_sweep(
     if not isinstance(manifolds, (int, np.integer)) or manifolds < 0:
         raise DomainError(f"manifolds must be an integer >= 0, got {manifolds!r}")
     zetas = np.linspace(zeta_min, zeta_max, int(zeta_steps))
-    exact_pairs = exact_quasienergy_scan(config.params.delta, zetas, config.propagation)
-    analytic_pairs = [analytic_quasienergies(config.at_zeta(zeta)) for zeta in zetas]
-    gaps = [exact.eps2 - exact.eps1 for exact in exact_pairs]
+    exact = np.array([(p.eps1, p.eps2) for p in exact_quasienergy_scan(config.params.delta, zetas, config.propagation)])
+    gaps = (exact[:, 1] - exact[:, 0]).tolist()
     ns = np.arange(-int(manifolds), int(manifolds) + 1)
     rows = {"zeta": np.repeat(zetas, ns.size), "n": np.tile(ns, zetas.size)}
-    for source, pairs in (("analytic", analytic_pairs), ("exact", exact_pairs)):
-        for eps in ("eps1", "eps2"):
-            rows[f"{eps}_{source}"] = np.add.outer([getattr(p, eps) for p in pairs], ns).ravel()
+    for source, pairs in (("analytic", _quasienergies(config.params.delta, zetas)), ("exact", exact)):
+        for label, eps in zip(("eps1", "eps2"), pairs.T):
+            rows[f"{label}_{source}"] = np.add.outer(eps, ns).ravel()
     crossings, brackets = [], []
     for idx, gap in enumerate(gaps):
         if gap == 0.0:
@@ -197,43 +180,6 @@ def cmd_spectrum(config: RunConfig, k_max: int, include_forbidden: bool) -> dict
     return payload
 
 
-def _validate_one(config: RunConfig, zeta: float, solution) -> dict:
-    params = config.at_zeta(zeta)
-    if isinstance(solution, DrivenTLSError):
-        raise solution
-    exact = solution.modes
-    analytic = analytic_modes(params, config.n_grid)
-
-    # both solvers label the symmetric mode 1, so the modes pair by label
-    gap = max(quasienergy_distance(e.quasienergy, a.quasienergy) for e, a in zip(exact, analytic))
-    fidelity = min(
-        float(abs(np.mean(np.sum(np.conj(e.samples) * a.samples, axis=1))) ** 2)
-        for e, a in zip(exact, analytic)
-    )
-
-    lines = spectrum(params, exact, 9, include_forbidden=True)
-    mu2 = params.dipole**2
-    numeric, closed = lines["intensity_numeric"], lines["intensity_analytic"]
-    leakage = float(np.max(numeric[lines["forbidden"]] / mu2, initial=0.0))
-    # allowed lines up to |k| = 7; the weak ones, whose closed form is at most
-    # 1e-12 mu2, are held to that absolute bound instead of a relative error
-    checked = ~lines["forbidden"] & (np.abs(lines["k"]) <= 7)
-    strong = checked & (closed > 1e-12 * mu2)
-    rel_error = float(np.max(np.abs(numeric - closed)[strong] / closed[strong], initial=0.0))
-    intensities_ok = not np.any(np.abs(numeric - closed)[checked & ~strong] > 1e-12 * mu2)
-
-    drift = unitarity_defect(solution.monodromy) / config.propagation.steps_per_period
-
-    passes = (
-        gap <= _THRESHOLDS["quasienergy_gap"],
-        fidelity >= _THRESHOLDS["min_mode_fidelity"],
-        leakage <= _THRESHOLDS["forbidden_leakage_per_mu2"],
-        intensities_ok and rel_error <= _THRESHOLDS["intensity_rel_error"],
-        drift <= _THRESHOLDS["unitarity_drift_per_step"],
-    )
-    return _check(zeta, (gap, fidelity, leakage, rel_error, drift), passes, None)
-
-
 def _check(zeta: float, metrics: tuple, passes: tuple, error: str | None) -> dict:
     check = {"zeta": float(zeta), **dict(zip(_METRICS, metrics)), **dict(zip(_GATES, passes))}
     return {**check, "pass": all(passes), "error": error}
@@ -247,12 +193,45 @@ def cmd_validate(config: RunConfig, zeta_list: list[float]) -> dict:
     to flag the closed-form checks while the exact-solver gates still pass.
     A failure in one drive strength is recorded and does not abort the rest.
     """
-    checks = []
-    for zeta, solution in zip(zeta_list, _exact_solutions(config, zeta_list)):
-        try:
-            checks.append(_validate_one(config, zeta, solution))
-        except DrivenTLSError as exc:
-            checks.append(_check(zeta, (None,) * len(_METRICS), (False,) * len(_GATES), str(exc)))
+    delta, mu2 = config.params.delta, config.params.dipole**2
+    errors, exact_eps, exact, monodromies = _mode_scan(delta, zeta_list, config.propagation, config.n_grid)
+    # the checks of every solved zeta come from one pass over their stacks
+    zetas = [zeta for zeta, error in zip(zeta_list, errors) if error is None]
+
+    (_, _, k, forbidden), numeric, closed = _line_stack(delta, mu2, zetas, exact, 9)
+    leakage = np.max(numeric[:, forbidden] / mu2, axis=1, initial=0.0)
+    # allowed lines up to |k| = 7; the weak ones, whose closed form is at most
+    # 1e-12 mu2, are held to that absolute bound instead of a relative error
+    checked = ~forbidden & (np.abs(k) <= 7)
+    strong = checked & (closed > 1e-12 * mu2)
+    miss = np.abs(numeric - closed)
+    rel_error = np.max(miss / np.where(strong, closed, 1.0), axis=1, where=strong, initial=0.0)
+    intensities_ok = ~np.any(checked & ~strong & (miss > 1e-12 * mu2), axis=1)
+
+    drift = unitarity_defect(monodromies) / config.propagation.steps_per_period
+
+    # both solvers label the symmetric mode 1, so the modes pair by label
+    analytic_eps = _quasienergies(delta, zetas)
+    distances = [quasienergy_distance(e, a) for e, a in zip(exact_eps.flat, analytic_eps.flat)]
+    gap = np.reshape(distances, (-1, 2)).max(axis=1)
+    analytic = _states(delta, zetas, tau_grid(config.n_grid), on_grid=True)
+    overlaps = np.mean(np.sum(np.conj(exact) * analytic, axis=-1), axis=-1)
+    # hypot is abs of one complex scalar; numpy's array abs can round the last bit otherwise
+    fidelity = (np.hypot(overlaps.real, overlaps.imag) ** 2).min(axis=1)
+
+    metrics = np.transpose([gap, fidelity, leakage, rel_error, drift]).tolist()
+    passes = np.transpose([
+        gap <= _THRESHOLDS["quasienergy_gap"],
+        fidelity >= _THRESHOLDS["min_mode_fidelity"],
+        leakage <= _THRESHOLDS["forbidden_leakage_per_mu2"],
+        intensities_ok & (rel_error <= _THRESHOLDS["intensity_rel_error"]),
+        drift <= _THRESHOLDS["unitarity_drift_per_step"],
+    ]).tolist()
+    solved, refused = iter(zip(metrics, passes)), ((None,) * len(_METRICS), (False,) * len(_GATES))
+    checks = [
+        _check(zeta, *next(solved), None) if error is None else _check(zeta, *refused, str(error))
+        for zeta, error in zip(zeta_list, errors)
+    ]
     payload = {"command": "validate", "params": _param_echo(config)}
     payload["thresholds"] = dict(_THRESHOLDS)
     payload["checks"] = {key: [check[key] for check in checks] for key in checks[0]}

@@ -119,6 +119,6 @@ def tau_grid(n: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(n) / n
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    """Max-norm deviation of U^dagger U from the identity."""
-    return float(np.max(np.abs(u.conj().T @ u - IDENTITY)))
+def unitarity_defect(u: np.ndarray):
+    """Max-norm deviation of U^dagger U from the identity: a float, or an array for a stack."""
+    return np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - IDENTITY), axis=(-2, -1))

@@ -159,22 +159,16 @@ def _check_grid(n_grid, config: PropagationConfig) -> None:
         )
 
 
-def _solutions(grids: np.ndarray, estimates) -> list:
-    """FloquetSolution, or the ClassificationError of its U(pi, 0), per propagated grid."""
+def _modes(grids: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """Per propagated grid (m, n + 1, 2, 2) its QuasienergyPair, or the ClassificationError of its
+    U(pi, 0); the (m, 2) quasienergies, 0 for an error; and the samples of both modes of every
+    grid, (m, 2, n, 2), from one stacked expression."""
     n = grids.shape[1] - 1
-    taus = tau_grid(n)
-    solutions = []
-    for grid, estimate, pair, vectors in zip(grids, estimates, *_split(grids[:, n // 2])):
-        if isinstance(pair, ClassificationError):
-            solutions.append(pair)
-            continue
-        # mode i at tau_k is e^{i eps_i tau_k} U(tau_k, 0) v_i
-        modes = tuple(
-            FloquetMode(label, eps, np.exp(1j * eps * taus)[:, None] * (grid[:n] @ v))
-            for label, eps, v in zip((1, 2), (pair.eps1, pair.eps2), vectors)
-        )
-        solutions.append(FloquetSolution(modes, grid[n], float(estimate)))
-    return solutions
+    pairs, vectors = _split(grids[:, n // 2])
+    eps = np.reshape([(p.eps1, p.eps2) if isinstance(p, QuasienergyPair) else (0.0, 0.0) for p in pairs], (-1, 2))
+    # mode i at tau_k is e^{i eps_i tau_k} U(tau_k, 0) v_i
+    phases = np.exp((1j * eps)[..., None] * tau_grid(n))[..., None]
+    return pairs, eps, phases * (grids[:, None, :n] @ vectors[:, :, None, :, None])[..., 0]
 
 
 def build_modes(
@@ -193,26 +187,33 @@ def build_modes(
     Returns:
         FloquetSolution from a single propagation.  Mode 1 is the symmetric
         mode; mode samples are unit norm at every grid point and satisfy the
-        phase convention at tau = 0.  build_mode_scan gives the same solution
-        at many drive strengths from one batched propagation.
+        phase convention at tau = 0.
     """
     config = config or PropagationConfig()
     _check_grid(n_grid, config)
     grid, estimate = propagate_grid(params, config, n_grid)
-    return _raise_first(_solutions(grid[None], [estimate]))[0]
+    pairs, _, (samples,) = _modes(grid[None])
+    (pair,) = _raise_first(pairs)
+    modes = FloquetMode(1, pair.eps1, samples[0]), FloquetMode(2, pair.eps2, samples[1])
+    return FloquetSolution(modes, grid[-1], estimate)
 
 
-def build_mode_scan(
-    delta: float, zetas, config: PropagationConfig | None = None, n_grid: int = 512
-) -> list:
-    """build_modes at every drive strength in zetas, from one batched propagation: per zeta
-    its FloquetSolution, or the error build_modes raises for it.  Only a bad n_grid raises."""
-    config = config or PropagationConfig()
+def _mode_scan(delta: float, zetas, config: PropagationConfig, n_grid: int) -> tuple:
+    """build_modes at every drive strength in zetas, from one batched propagation, as stacks: per
+    zeta the error build_modes raises for it, or None, and for the zetas without one, in order,
+    their (m, 2) quasienergies, (m, 2, n_grid, 2) mode samples and (m, 2, 2) monodromies.  Only
+    a bad n_grid or no zeta raises."""
     _check_grid(n_grid, config)
-    grids, estimates, refusals = grid_propagators(delta, np.asarray(zetas, float) / 2.0, config, n_grid)
-    kept = [refusal is None for refusal in refusals]
-    solved = iter(_solutions(grids[kept], estimates[kept]))
-    return [next(solved) if refusal is None else refusal for refusal in refusals]
+    if not len(zetas):
+        raise DomainError("zeta list must be non-empty")
+    grids, _, refusals = grid_propagators(delta, np.asarray(zetas, float) / 2.0, config, n_grid)
+    grids = grids[[refusal is None for refusal in refusals]]
+    pairs, eps, samples = _modes(grids)
+    solved = [isinstance(pair, QuasienergyPair) for pair in pairs]
+    # a propagated zeta's error is its ClassificationError, if any
+    classified = iter(None if ok else pair for ok, pair in zip(solved, pairs))
+    errors = [refusal or next(classified) for refusal in refusals]
+    return errors, eps[solved], samples[solved], grids[solved, -1]
 
 
 def exact_quasienergy_scan(

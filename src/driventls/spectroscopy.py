@@ -16,7 +16,7 @@ import numpy as np
 
 from .analytic import _unwrap, analytic_quasienergies
 from .bessel import bessel_row
-from .core import SIGMA_X, DomainError, SystemParams, _frozen, tau_grid
+from .core import DomainError, SystemParams, _frozen, tau_grid
 from .floquet import FloquetMode
 
 
@@ -58,17 +58,43 @@ def line_intensity_analytic(params: SystemParams, i, j, k):
     forbidden = is_forbidden(i, j, k)
     k = np.asarray(k)
     row = bessel_row(np.abs(k).max(initial=0), params.zeta)
-    mu2 = params.dipole**2
+    return _unwrap(_closed_form(params.delta, params.dipole**2, row, k, forbidden))
+
+
+def _closed_form(delta: float, mu2: float, rows: np.ndarray, k: np.ndarray, forbidden) -> np.ndarray:
+    """line_intensity_analytic of the lines with offsets k and forbidden flags, for each Bessel
+    row J_0 .. J_|k|max of a stack (..., |k|max + 1): shape (...,) + k.shape."""
     # k = 0 lines carry mu2; dividing by 1 there keeps the unused branch finite
-    scaled = mu2 * (params.delta * row[np.abs(k)] / np.where(k == 0, 1, k)) ** 2
-    return _unwrap(np.where(forbidden, 0.0, np.where(k == 0, mu2, scaled)))
+    scaled = mu2 * (delta * rows[..., np.abs(k)] / np.where(k == 0, 1, k)) ** 2
+    return np.where(forbidden, 0.0, np.where(k == 0, mu2, scaled))
 
 
 @functools.lru_cache(maxsize=4)
 def _phases(n: int, k_max: int) -> np.ndarray:
     """e^{i k tau} at tau_grid(n) for k = -k_max..k_max, read-only: every spectrum on this
-    grid and with this k_max, such as each zeta of one validate, reads the same table."""
+    grid and with this k_max, such as the stacked lines of one validate, reads the same table."""
     return _frozen(np.exp(1j * np.multiply.outer(tau_grid(n), np.arange(-k_max, k_max + 1))))
+
+
+def _line_stack(delta: float, mu2: float, zetas, samples: np.ndarray, k_max: int) -> tuple:
+    """Every line up to |k| = k_max at each of m drive strengths: the (i, j, k) columns and their
+    forbidden flags, 4 (2 k_max + 1) lines ordered by (i, j), then k; and per zeta the numeric
+    intensities from its mode samples (m, 2, n, 2) and the closed-form ones, (m, lines) each."""
+    ks = np.arange(-k_max, k_max + 1)
+    i = np.repeat([1, 1, 2, 2], ks.size)
+    j = np.repeat([1, 2, 1, 2], ks.size)
+    k = np.tile(ks, 4)
+    forbidden = is_forbidden(i, j, k)
+    n = samples.shape[-2]
+    bra, ket = samples.conj()[:, :, None], samples[:, None]
+    # <mode_i(tau)| sigma_x |mode_j(tau)> at every sample: sigma_x swaps the ket's components
+    f = (bra[..., 0] * ket[..., 1] + bra[..., 1] * ket[..., 0]).reshape(-1, 4, n)
+    # period average of f(tau) e^{i k tau} for every k at once, one row product per (i, j); a
+    # single matrix product over every row would round differently
+    numeric = mu2 * np.abs((f[..., None, :] @ _phases(n, k_max))[..., 0, :] / n) ** 2
+    rows = np.reshape([bessel_row(k_max, zeta) for zeta in zetas], (-1, k_max + 1))
+    closed = _closed_form(delta, mu2, rows, k, forbidden)
+    return (i, j, k, forbidden), numeric.reshape(-1, k.size), closed
 
 
 def spectrum(
@@ -104,31 +130,18 @@ def spectrum(
     if k_max >= n // 2:
         raise DomainError(f"k_max must be below n_samples/2 = {n // 2}, got {k_max}")
     pair = analytic_quasienergies(params)
-    phases = _phases(n, k_max)
-    by_label = {m.label: m for m in modes}
-    mu2 = params.dipole**2
-    intensities = []
-    for i in (1, 2):
-        for j in (1, 2):
-            # <mode_i(tau)| sigma_x |mode_j(tau)> at every sample
-            f = np.sum(np.conj(by_label[i].samples) * (by_label[j].samples @ SIGMA_X), axis=1)
-            # period average of f(tau) e^{i k tau} for every k at once
-            intensities.append(mu2 * np.abs(f @ phases / n) ** 2)
-    # one entry per (i, j, k), in the order the intensities were stacked
-    ks = np.arange(-k_max, k_max + 1)
-    i_col = np.repeat([1, 1, 2, 2], ks.size)
-    j_col = np.repeat([1, 2, 1, 2], ks.size)
-    k_col = np.tile(ks, 4)
+    samples = np.array([[m.samples for m in sorted(modes, key=lambda m: m.label)]])
+    lines = _line_stack(params.delta, params.dipole**2, [params.zeta], samples, k_max)
+    (i_col, j_col, k_col, forbidden), (numeric,), (closed,) = lines
     eps = np.array([pair.eps1, pair.eps2])
     signed = eps[j_col - 1] - eps[i_col - 1] + k_col
-    forbidden = is_forbidden(i_col, j_col, k_col)
     table = {
         "i": i_col,
         "j": j_col,
         "k": k_col,
         "frequency": np.abs(signed),
-        "intensity_numeric": np.concatenate(intensities),
-        "intensity_analytic": line_intensity_analytic(params, i_col, j_col, k_col),
+        "intensity_numeric": numeric,
+        "intensity_analytic": closed,
         "class": line_class(i_col, j_col, k_col),
         "forbidden": forbidden,
         "direction": np.sign(signed).astype(int),

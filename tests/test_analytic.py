@@ -30,7 +30,7 @@ from driventls import (
     xi_a,
     xi_s,
 )
-from driventls.analytic import _coefficient_row, _grid_series, _xi_a_from_row, _xi_s_from_row
+from driventls.analytic import _coefficient_row, _grid_series, _states, _xi_a_from_row, _xi_s_from_row
 
 # frozen outputs of the quadrature oracle (tests/oracles.py), which builds
 # xi_s and xi_a from their derivative relations by Gauss-Legendre
@@ -275,12 +275,22 @@ def test_analytic_modes_structure():
         analytic_modes(p, n_grid=63)
 
 
+def test_stacked_modes_are_each_zeta_alone():
+    # one inverse FFT and one set of norms and phase anchors over a stack of
+    # drive strengths, folded rows included, give each one's modes bit for bit
+    zetas = [0.0, 1e-9, 0.6, 2.404825557695773, 40.0, 100.0]
+    stacked = _states(0.3, zetas, tau_grid(64), on_grid=True)
+    for zeta, modes in zip(zetas, stacked):
+        assert np.array_equal(modes, _states(0.3, [zeta], tau_grid(64), on_grid=True)[0])
+        assert np.array_equal(modes, [mode.samples for mode in analytic_modes(_params(0.3, zeta), 64)])
+
+
 @pytest.mark.parametrize("zeta", [0.0, 1e-9, 0.6, 2.404825557695773, 40.0, 100.0])
 @pytest.mark.parametrize("n_grid", [64, 512, 4096])
 def test_grid_series_by_fft_equal_the_direct_sums(zeta, n_grid):
     # at grid 64 the rows of zeta 40 and 100 reach past n_grid / 2 and fold
-    row = _coefficient_row(_params(0.02, zeta))
+    row = _coefficient_row(zeta)
     taus = tau_grid(n_grid)
-    xs, xa = _grid_series(row, n_grid)
+    (xs,), (xa,) = _grid_series([row], n_grid)
     assert np.max(np.abs(xs - _xi_s_from_row(row, taus))) <= 1e-15
     assert np.max(np.abs(xa - _xi_a_from_row(row, taus))) <= 1e-15

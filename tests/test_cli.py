@@ -395,9 +395,10 @@ def test_one_process_runs_like_fresh_ones(capsys):
 
 
 def test_closed_form_bessel_row_budget(monkeypatch, capsys):
-    # the analytic modes read one coefficient row and one J0, and spectrum
-    # one J0 and one row up to k_max, so validate needs 4 rows per zeta and
-    # weights 2
+    # validate reads per zeta one coefficient row for the analytic modes, one
+    # J0 for their quasienergies and one row up to k = 9 for the closed-form
+    # intensities; weights reads only the coefficient row, and sweep one J0
+    # per grid point for its analytic column
     rows = []
     original = driventls.bessel._miller_row
 
@@ -408,11 +409,25 @@ def test_closed_form_bessel_row_budget(monkeypatch, capsys):
     monkeypatch.setattr(driventls.bessel, "_miller_row", counting)
     code, _, _ = _run(capsys, ["validate", "--zetas", "0.6", "3.1", "--grid", "64"])
     assert code == 0
-    assert len(rows) <= 4 * 2
+    assert len(rows) <= 3 * 2
     rows.clear()
     code, _, _ = _run(capsys, ["weights", "--zetas", "0.6", "3.1", "40", "--grid", "64"])
     assert code == 0
-    assert len(rows) <= 2 * 3
+    assert len(rows) <= 1 * 3
+    rows.clear()
+    code, _, _ = _run(capsys, ["sweep", "--zeta-steps", "21", "--steps", "256"])
+    assert code == 0
+    assert len(rows) <= 21
+
+
+def test_import_loads_no_fft_or_random():
+    # a fresh interpreter compiles and loads only what the CLI needs to start;
+    # numpy.fft loads on the first grid series, and nothing needs numpy.random
+    src = str(Path(driventls.cli.__file__).resolve().parents[1])
+    code = "import sys, driventls.cli; print(sorted({'numpy.fft', 'numpy.random'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_validate_always_json(capsys):

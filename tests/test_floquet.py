@@ -22,7 +22,7 @@ from driventls import (
     quasienergy_distance,
     tau_grid,
 )
-from driventls.floquet import PARITY, _split
+from driventls.floquet import PARITY, _phase_factor, _split
 from driventls.propagator import half_period_propagators
 
 TWO_PI = 2.0 * math.pi
@@ -30,6 +30,20 @@ TWO_PI = 2.0 * math.pi
 
 def _params(delta, zeta):
     return SystemParams.from_zeta(delta=delta, zeta=zeta)
+
+
+def test_phase_factor_ties_anchor_on_the_first_component():
+    # both components of each vector have the same magnitude, exactly; the
+    # factor makes the first one real positive, one vector at a time and stacked
+    vectors = np.array([[3 + 4j, 4 - 3j], [-5, 5j], [1j, 1], [2, -2], [-3 - 4j, 5]])
+    assert np.array_equal(np.abs(vectors[:, 0]), np.abs(vectors[:, 1]))
+    stacked = vectors * _phase_factor(vectors)
+    grid = vectors.reshape(5, 1, 2) * _phase_factor(vectors.reshape(5, 1, 2))
+    for v, row, cell in zip(vectors, stacked, grid[:, 0]):
+        alone = v * _phase_factor(v)
+        assert np.array_equal(alone, row) and np.array_equal(alone, cell)
+        assert abs(alone[0] - abs(v[0])) <= 1e-15 * abs(v[0])
+        assert abs(alone[1]) == pytest.approx(abs(v[1]), rel=1e-15)
 
 
 def test_fold_examples():

@@ -41,6 +41,13 @@ CASES = {
     # closed-form intensity of 0 and validate holds it to the weak-line bound
     "spectrum_dipole.csv": (["spectrum", "--delta", "0", "--mu", "2.5", "--include-forbidden", "--k-max", "5"], 0),
     "validate_weak.json": (["validate", "--delta", "0", "--mu", "2.5", "--zetas", "0.6", "9.932314258317383"], 0),
+    # eight drive strengths in the bands of the benchmark's validate requests: two weak, one
+    # near each of the first two zeros of J0, two strong and two beyond zeta = 40
+    "validate_bands.json": (
+        ["validate", "--zetas", "0.8858372419923886", "0.6152945353588553", "2.402764741868351", "5.5200892166828925",
+         "30.08424503408855", "25.697903222271492", "75.34176255821092", "89.26496826507251"],
+        0,
+    ),
 }
 
 QUASIENERGY = ("abs", 1e-13)

@@ -8,6 +8,7 @@ from oracles import shirley_line_intensities
 
 import driventls.spectroscopy
 from driventls import (
+    SIGMA_X,
     DomainError,
     SystemParams,
     analytic_quasienergies,
@@ -17,8 +18,10 @@ from driventls import (
     line_class,
     line_intensity_analytic,
     spectrum,
+    tau_grid,
 )
 from driventls.floquet import FloquetMode
+from driventls.spectroscopy import _line_stack
 
 J0_PI = -0.30424217764409384
 J1_PI = 0.28461534317975273
@@ -47,6 +50,23 @@ def _keys(lines):
 
 def _intensities(lines):
     return dict(zip(_keys(lines), lines["intensity_numeric"].tolist()))
+
+
+def test_stacked_lines_are_the_per_line_sums():
+    # the stacked lines of four drive strengths equal, bit for bit, each line's
+    # matrix element through sigma_x and its period average by one row product,
+    # and the closed form of each drive strength alone
+    zetas = [0.6, 2.404825557695773, 9.93, 40.0]
+    solutions = [build_modes(_params(0.02, zeta), n_grid=128) for zeta in zetas]
+    samples = np.array([[mode.samples for mode in solution.modes] for solution in solutions])
+    (i, j, k, _), numeric, closed = _line_stack(0.02, 2.25, zetas, samples, 9)
+    phases = np.exp(1j * np.multiply.outer(tau_grid(128), np.arange(-9, 10)))
+    for zeta, solution, lines, closed_form in zip(zetas, solutions, numeric, closed):
+        modes = {mode.label: mode.samples for mode in solution.modes}
+        for (a, b), block in zip([(1, 1), (1, 2), (2, 1), (2, 2)], lines.reshape(4, -1)):
+            f = np.sum(np.conj(modes[a]) * (modes[b] @ SIGMA_X), axis=1)
+            assert np.array_equal(block, 2.25 * np.abs(f @ phases / 128) ** 2)
+        assert np.array_equal(closed_form, line_intensity_analytic(_params(0.02, zeta, 1.5), i, j, k))
 
 
 def test_extended_inner_exact_modes_orthogonal():
