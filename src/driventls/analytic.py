@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .bessel import bessel_j, bessel_row, series_cutoff
-from .core import DomainError, SystemParams, su2_exponential, tau_grid
+from .core import DomainError, SystemParams, _unwrap, su2_exponential, tau_grid
 from .floquet import FloquetMode, QuasienergyPair, _phase_factor, fold_quasienergy
 
 
@@ -25,11 +25,6 @@ def _as_tau_array(tau) -> np.ndarray:
     if not np.all(np.isfinite(t)):
         raise DomainError("tau must be finite")
     return t
-
-
-def _unwrap(out):
-    # scalars in, Python scalars out; arrays pass through
-    return out.item() if np.ndim(out) == 0 else out
 
 
 def phi(params: SystemParams, tau):
@@ -101,8 +96,8 @@ def eta(params: SystemParams, tau):
 
 def _quasienergies(delta: float, zetas) -> np.ndarray:
     """-(delta/2) J_0(zeta) and +(delta/2) J_0(zeta), folded, at every zeta, (m, 2): one J_0 each."""
-    halves = [0.5 * delta * bessel_j(0, zeta) for zeta in zetas]
-    return np.reshape([(fold_quasienergy(-e), fold_quasienergy(e)) for e in halves], (-1, 2))
+    halves = 0.5 * delta * np.array([bessel_j(0, zeta) for zeta in zetas]).reshape(-1, 1)
+    return fold_quasienergy(np.hstack((-halves, halves)))
 
 
 def analytic_quasienergies(params: SystemParams) -> QuasienergyPair:

@@ -38,10 +38,6 @@ _THRESHOLDS = {
     "unitarity_drift_per_step": 1e-10,
 }
 
-# the columns of a validate check between its zeta and its overall pass
-_METRICS = ("quasienergy_gap", "min_mode_fidelity", "max_forbidden_leakage", "max_intensity_rel_error", "unitarity_drift")
-_GATES = ("pass_quasienergy", "pass_fidelity", "pass_selection_rules", "pass_intensities", "pass_unitarity")
-
 _FORMATS = ("csv", "json")
 
 _CHUNK_ROWS = 1024  # table rows per written chunk; 256 to 4096 render alike, more only holds more text
@@ -111,10 +107,9 @@ def _crossings(config: RunConfig, brackets: list[tuple[float, float, float, floa
         for a, b, fa, fb, _ in active:
             e = 2.5e-13 / abs(b - a)
             zetas.append(b + (a - b) * min(max(fb / (fb - fa), e), 1.0 - e))
-        pairs = exact_quasienergy_scan(config.params.delta, zetas, config.propagation)
-        for state, c, pair in zip(active, zetas, pairs):
+        eps = exact_quasienergy_scan(config.params.delta, zetas, config.propagation)
+        for state, c, fc in zip(active, zetas, (eps[:, 1] - eps[:, 0]).tolist()):
             a, b, fa, fb, best = state
-            fc = pair.eps2 - pair.eps1
             if (fc > 0.0) == (fb > 0.0):
                 fa *= 0.5
             else:
@@ -136,14 +131,8 @@ def cmd_sweep(
     offset n, and appends the drive strengths where the exact gap changes
     sign (the level crossings), each located to 1e-12.
     """
-    if not zeta_min < zeta_max:
-        raise DomainError(f"need zeta_min < zeta_max, got {zeta_min} >= {zeta_max}")
-    if not isinstance(zeta_steps, (int, np.integer)) or zeta_steps < 2:
-        raise DomainError(f"zeta_steps must be an integer >= 2, got {zeta_steps!r}")
-    if not isinstance(manifolds, (int, np.integer)) or manifolds < 0:
-        raise DomainError(f"manifolds must be an integer >= 0, got {manifolds!r}")
     zetas = np.linspace(zeta_min, zeta_max, int(zeta_steps))
-    exact = np.array([(p.eps1, p.eps2) for p in exact_quasienergy_scan(config.params.delta, zetas, config.propagation)])
+    exact = exact_quasienergy_scan(config.params.delta, zetas, config.propagation)
     gaps = (exact[:, 1] - exact[:, 0]).tolist()
     ns = np.arange(-int(manifolds), int(manifolds) + 1)
     rows = {"zeta": np.repeat(zetas, ns.size), "n": np.tile(ns, zetas.size)}
@@ -180,11 +169,6 @@ def cmd_spectrum(config: RunConfig, k_max: int, include_forbidden: bool) -> dict
     return payload
 
 
-def _check(zeta: float, metrics: tuple, passes: tuple, error: str | None) -> dict:
-    check = {"zeta": float(zeta), **dict(zip(_METRICS, metrics)), **dict(zip(_GATES, passes))}
-    return {**check, "pass": all(passes), "error": error}
-
-
 def cmd_validate(config: RunConfig, zeta_list: list[float]) -> dict:
     """First-order accuracy report with fixed pass/fail gates.
 
@@ -211,31 +195,41 @@ def cmd_validate(config: RunConfig, zeta_list: list[float]) -> dict:
     drift = unitarity_defect(monodromies) / config.propagation.steps_per_period
 
     # both solvers label the symmetric mode 1, so the modes pair by label
-    analytic_eps = _quasienergies(delta, zetas)
-    distances = [quasienergy_distance(e, a) for e, a in zip(exact_eps.flat, analytic_eps.flat)]
-    gap = np.reshape(distances, (-1, 2)).max(axis=1)
+    gap = quasienergy_distance(exact_eps, _quasienergies(delta, zetas)).max(axis=1)
     analytic = _states(delta, zetas, tau_grid(config.n_grid), on_grid=True)
     overlaps = np.mean(np.sum(np.conj(exact) * analytic, axis=-1), axis=-1)
     # hypot is abs of one complex scalar; numpy's array abs can round the last bit otherwise
     fidelity = (np.hypot(overlaps.real, overlaps.imag) ** 2).min(axis=1)
 
-    metrics = np.transpose([gap, fidelity, leakage, rel_error, drift]).tolist()
-    passes = np.transpose([
-        gap <= _THRESHOLDS["quasienergy_gap"],
-        fidelity >= _THRESHOLDS["min_mode_fidelity"],
-        leakage <= _THRESHOLDS["forbidden_leakage_per_mu2"],
-        intensities_ok & (rel_error <= _THRESHOLDS["intensity_rel_error"]),
-        drift <= _THRESHOLDS["unitarity_drift_per_step"],
-    ]).tolist()
-    solved, refused = iter(zip(metrics, passes)), ((None,) * len(_METRICS), (False,) * len(_GATES))
-    checks = [
-        _check(zeta, *next(solved), None) if error is None else _check(zeta, *refused, str(error))
-        for zeta, error in zip(zeta_list, errors)
-    ]
+    metrics = {
+        "quasienergy_gap": gap,
+        "min_mode_fidelity": fidelity,
+        "max_forbidden_leakage": leakage,
+        "max_intensity_rel_error": rel_error,
+        "unitarity_drift": drift,
+    }
+    gates = {
+        "pass_quasienergy": gap <= _THRESHOLDS["quasienergy_gap"],
+        "pass_fidelity": fidelity >= _THRESHOLDS["min_mode_fidelity"],
+        "pass_selection_rules": leakage <= _THRESHOLDS["forbidden_leakage_per_mu2"],
+        "pass_intensities": intensities_ok & (rel_error <= _THRESHOLDS["intensity_rel_error"]),
+        "pass_unitarity": drift <= _THRESHOLDS["unitarity_drift_per_step"],
+    }
+    gates["pass"] = np.all(list(gates.values()), axis=0)
+
+    def column(values: np.ndarray, refused) -> list:
+        # per zeta in order: the next solved value, or `refused` for a zeta with an error
+        solved = iter(values.tolist())
+        return [next(solved) if error is None else refused for error in errors]
+
+    checks = {"zeta": [float(zeta) for zeta in zeta_list]}
+    checks.update({key: column(values, None) for key, values in metrics.items()})
+    checks.update({key: column(values, False) for key, values in gates.items()})
+    checks["error"] = [None if error is None else str(error) for error in errors]
     payload = {"command": "validate", "params": _param_echo(config)}
     payload["thresholds"] = dict(_THRESHOLDS)
-    payload["checks"] = {key: [check[key] for check in checks] for key in checks[0]}
-    payload["overall_pass"] = all(payload["checks"]["pass"])
+    payload["checks"] = checks
+    payload["overall_pass"] = all(checks["pass"])
     return payload
 
 

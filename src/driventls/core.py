@@ -45,6 +45,11 @@ def _frozen(values, dtype=complex) -> np.ndarray:
     return m
 
 
+def _unwrap(out):
+    # scalars in, Python scalars out; arrays pass through
+    return out.item() if np.ndim(out) == 0 else out
+
+
 IDENTITY = _frozen([[1, 0], [0, 1]])
 # sigma_x = |1><2| + |2><1|, the drive coupling and dipole operator
 SIGMA_X = _frozen([[0, 1], [1, 0]])

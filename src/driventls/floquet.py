@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassificationError, DomainError, _frozen, tau_grid
+from .core import ClassificationError, DomainError, _frozen, _unwrap, tau_grid
 from .propagator import PropagationConfig, grid_propagators, half_period_propagators, propagate_grid
 
 # generalized-parity matrix: swaps nothing, flips the excited amplitude
@@ -29,21 +29,22 @@ PARITY = _frozen([[1, 0], [0, -1]])
 _BOUNDARY_GAP = 1e-7
 
 
-def fold_quasienergy(value: float) -> float:
-    """Fold a quasienergy into the first zone (-1/2, 1/2], units of omega_L."""
-    if not math.isfinite(value):
-        raise DomainError(f"quasienergy must be finite, got {value!r}")
-    if -0.5 < value <= 0.5:
-        # already in the zone; returning the input unchanged keeps folding
-        # exactly idempotent and sign-symmetric
-        return value
-    r = value - math.floor(value)
-    return r - 1.0 if r > 0.5 else r
+def fold_quasienergy(value):
+    """Fold quasienergies into the first zone (-1/2, 1/2], units of omega_L, elementwise: a
+    scalar gives a float, an array an array."""
+    v = np.asarray(value, dtype=float)
+    finite = np.isfinite(v)
+    if not finite.all():
+        raise DomainError(f"quasienergy must be finite, got {v[~finite].tolist()[0]!r}")
+    r = v - np.floor(v)
+    # a value already in the zone is returned unchanged, which keeps folding
+    # exactly idempotent and sign-symmetric
+    return _unwrap(np.where((-0.5 < v) & (v <= 0.5), v, np.where(r > 0.5, r - 1.0, r)))
 
 
-def quasienergy_distance(a: float, b: float) -> float:
-    """Distance between quasienergies on the circle of circumference 1."""
-    return abs(fold_quasienergy(a - b))
+def quasienergy_distance(a, b):
+    """Distance between quasienergies on the circle of circumference 1, elementwise."""
+    return abs(fold_quasienergy(np.subtract(a, b)))
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ def _phase_factor(v: np.ndarray) -> np.ndarray:
     return big.conj() / np.abs(big)
 
 
-def _split(halves: np.ndarray) -> tuple[list[QuasienergyPair], np.ndarray]:
+def _split(halves: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
     """Quasienergies and tau = 0 vectors of both modes from each U(pi, 0) of a stack.
 
     Q = P U(pi, 0) squares to the monodromy operator, so its eigenvectors are
@@ -104,34 +105,33 @@ def _split(halves: np.ndarray) -> tuple[list[QuasienergyPair], np.ndarray]:
     every crossing and meet only on the zone boundary eps = 1/2, where
     neither mode has a definite parity.
 
-    Returns per matrix its pair, or the ClassificationError of a matrix with
-    both modes on the zone boundary, and the (m, 2, 2) vectors: [k, i - 1] is
-    the vector of mode i from halves[k].
+    Returns the folded (m, 2) quasienergies, per matrix the ClassificationError
+    of both modes on the zone boundary, or None, and the (m, 2, 2) vectors:
+    [k, i - 1] is the vector of mode i from halves[k].
     """
     q = PARITY @ halves
     values, vectors = np.linalg.eigh(0.5 * (q + np.conj(q).swapaxes(-1, -2)))
     # eigh sorts ascending: the positive eigenvalue's vector, mode 1, is the last column
     v = vectors[..., ::-1].swapaxes(-1, -2)
     overlap = np.conj(v)[..., None, :] @ q[:, None] @ v[..., None]
-    eps = -np.angle(overlap[..., 0, 0]) / math.pi
-    pairs = [
+    eps = fold_quasienergy(-np.angle(overlap[..., 0, 0]) / math.pi)
+    errors = [
         ClassificationError(
             "both modes sit on the zone boundary eps = 1/2, where parity does "
             f"not split them (symmetry eigenvalues {low:.3e}, {high:.3e})"
         )
         if high - low < _BOUNDARY_GAP
-        else QuasienergyPair(*map(fold_quasienergy, row))
-        for row, (low, high) in zip(eps.tolist(), values.tolist())
+        else None
+        for low, high in values.tolist()
     ]
-    return pairs, v * _phase_factor(v)
+    return eps, errors, v * _phase_factor(v)
 
 
-def _raise_first(entries: list) -> list:
-    """entries, unless one is an error: then the first error is raised."""
-    for entry in entries:
-        if isinstance(entry, Exception):
-            raise entry
-    return entries
+def _raise_first(errors: list) -> None:
+    """Raise the first error of a list of errors and Nones, if it holds one."""
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,16 +159,14 @@ def _check_grid(n_grid, config: PropagationConfig) -> None:
         )
 
 
-def _modes(grids: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
-    """Per propagated grid (m, n + 1, 2, 2) its QuasienergyPair, or the ClassificationError of its
-    U(pi, 0); the (m, 2) quasienergies, 0 for an error; and the samples of both modes of every
-    grid, (m, 2, n, 2), from one stacked expression."""
+def _modes(grids: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
+    """_split of the U(pi, 0) of each propagated grid (m, n + 1, 2, 2), with the samples of both
+    modes of every grid, (m, 2, n, 2), from one stacked expression in place of the vectors."""
     n = grids.shape[1] - 1
-    pairs, vectors = _split(grids[:, n // 2])
-    eps = np.reshape([(p.eps1, p.eps2) if isinstance(p, QuasienergyPair) else (0.0, 0.0) for p in pairs], (-1, 2))
+    eps, errors, vectors = _split(grids[:, n // 2])
     # mode i at tau_k is e^{i eps_i tau_k} U(tau_k, 0) v_i
     phases = np.exp((1j * eps)[..., None] * tau_grid(n))[..., None]
-    return pairs, eps, phases * (grids[:, None, :n] @ vectors[:, :, None, :, None])[..., 0]
+    return eps, errors, phases * (grids[:, None, :n] @ vectors[:, :, None, :, None])[..., 0]
 
 
 def build_modes(
@@ -192,9 +190,10 @@ def build_modes(
     config = config or PropagationConfig()
     _check_grid(n_grid, config)
     grid, estimate = propagate_grid(params, config, n_grid)
-    pairs, _, (samples,) = _modes(grid[None])
-    (pair,) = _raise_first(pairs)
-    modes = FloquetMode(1, pair.eps1, samples[0]), FloquetMode(2, pair.eps2, samples[1])
+    eps, errors, (samples,) = _modes(grid[None])
+    _raise_first(errors)
+    eps1, eps2 = eps[0].tolist()
+    modes = FloquetMode(1, eps1, samples[0]), FloquetMode(2, eps2, samples[1])
     return FloquetSolution(modes, grid[-1], estimate)
 
 
@@ -208,20 +207,23 @@ def _mode_scan(delta: float, zetas, config: PropagationConfig, n_grid: int) -> t
         raise DomainError("zeta list must be non-empty")
     grids, _, refusals = grid_propagators(delta, np.asarray(zetas, float) / 2.0, config, n_grid)
     grids = grids[[refusal is None for refusal in refusals]]
-    pairs, eps, samples = _modes(grids)
-    solved = [isinstance(pair, QuasienergyPair) for pair in pairs]
+    eps, classified, samples = _modes(grids)
+    solved = [error is None for error in classified]
     # a propagated zeta's error is its ClassificationError, if any
-    classified = iter(None if ok else pair for ok, pair in zip(solved, pairs))
-    errors = [refusal or next(classified) for refusal in refusals]
+    propagated = iter(classified)
+    errors = [refusal or next(propagated) for refusal in refusals]
     return errors, eps[solved], samples[solved], grids[solved, -1]
 
 
-def exact_quasienergy_scan(
-    delta: float, zetas, config: PropagationConfig | None = None
-) -> list[QuasienergyPair]:
-    """exact_quasienergies at every drive strength in zetas, from one batched propagation."""
-    halves, _ = half_period_propagators(delta, np.asarray(zetas, dtype=float) / 2.0, config)
-    return _raise_first(_split(halves)[0])
+def exact_quasienergy_scan(delta: float, zetas, config: PropagationConfig | None = None) -> np.ndarray:
+    """exact_quasienergies at every drive strength in zetas, as rows (eps1, eps2) of an (m, 2)
+    array, from one batched propagation.  The first refusal is raised, else the first
+    ClassificationError."""
+    halves, _, refusals = half_period_propagators(delta, np.asarray(zetas, dtype=float) / 2.0, config)
+    _raise_first(refusals)
+    eps, errors, _ = _split(halves)
+    _raise_first(errors)
+    return eps
 
 
 def exact_quasienergies(params, config: PropagationConfig | None = None) -> QuasienergyPair:
@@ -230,4 +232,4 @@ def exact_quasienergies(params, config: PropagationConfig | None = None) -> Quas
     Cheaper than build_modes when the mode functions are not needed; eps1
     belongs to the symmetric mode.
     """
-    return exact_quasienergy_scan(params.delta, [params.zeta], config)[0]
+    return QuasienergyPair(*exact_quasienergy_scan(params.delta, [params.zeta], config)[0])

@@ -106,12 +106,9 @@ def _steps(delta: float, rabi, tau0: float, h: float, n: int, block=slice(None))
     if not x.all():
         x[x == 0.0] = np.finfo(float).eps
     s = np.divide(np.sin(x), x, out=x)
-    if not (gz and gx.all() and gy.all() and s.min() > 0.5):
-        # a zero factor (zeta = 0, delta = 0) leaves the signed zeros of the
-        # complex expression, which the printed sign of a quasienergy can follow
-        return np.stack((np.cos(r) + 1j * s * gz, -s * (gy + 1j * gx)), axis=-1)
-    # the pair (cos r + i s gz, -s gy - i s gx), written through its float view;
-    # with s > 1/2 no product of these nonzero factors rounds to a zero
+    # the pair (cos r + i s gz, -s gy - i s gx), written through its float view; where a factor
+    # is zero (zeta = 0, delta = 0) a zero part may differ in sign from the complex expression,
+    # and no printed result depends on that sign
     out = np.empty(r.shape + (2,), dtype=complex)
     parts = out.view(float)
     np.multiply(s, gz, out=parts[..., 1])
@@ -261,10 +258,10 @@ def grid_propagators(
 
 def half_period_propagators(
     delta: float, rabis, config: PropagationConfig | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """U(pi, 0) at every Rabi amplitude in rabis, shape (m, 2, 2), and the step-halving
-    error estimate of each, shape (m,); an estimate over 1e-7 raises AccuracyError naming
-    the first such zeta = 2*rabi.
+) -> tuple[np.ndarray, np.ndarray, list[AccuracyError | None]]:
+    """U(pi, 0) at every Rabi amplitude in rabis, shape (m, 2, 2), the step-halving error
+    estimate of each, shape (m,), and per amplitude the AccuracyError of an estimate over
+    1e-7, naming its zeta = 2*rabi, or None; nothing is raised.
 
     Only [0, pi/2] is propagated, with steps_per_period // 4 steps: the drive is odd about
     pi/2, so H(pi - tau) = P H(tau) P with P = diag(1, -1), and U(pi, 0) = P U(pi/2, 0)^T P
@@ -276,7 +273,7 @@ def half_period_propagators(
     n = config.steps_per_period // 4
     h = 0.5 * math.pi / n
     batch = max(1, _BATCH_BYTES // (32 * n))
-    halves, errors = [], []
+    halves, estimates = [], []
     for chunk in np.split(rabis, range(batch, rabis.size, batch)):
         # the fine run's first tree level leaves as many factors as the half-step run
         # has steps, so the rest of both trees is one product over stacked rows
@@ -285,11 +282,11 @@ def half_period_propagators(
         u = _product(np.concatenate((fine, _steps(delta, chunk[:, None], 0.0, 2.0 * h, n // 2))))
         # P U^T P is the pair (a, conj(b))
         runs = np.split(_compose(np.stack((u[..., 0], u[..., 1].conj()), axis=-1), u), 2)
-        estimates = np.max(np.abs(runs[0] - runs[1]), axis=-1) / 15.0
-        over = ~(estimates <= _ERROR_BOUND)
-        if over.any():
-            zeta = 2.0 * chunk[over][0]
-            raise _refusal(estimates[over][0], f"at zeta = {zeta:.17g} with {4 * n} steps per period")
         halves.append(runs[0])
-        errors.append(estimates)
-    return _matrices(np.concatenate(halves)), np.concatenate(errors)
+        estimates.append(np.max(np.abs(runs[0] - runs[1]), axis=-1) / 15.0)
+    estimates = np.concatenate(estimates)
+    refusals = [
+        _refusal(estimate, f"at zeta = {2.0 * rabi:.17g} with {4 * n} steps per period")
+        for rabi, estimate in zip(rabis.tolist(), estimates.tolist())
+    ]
+    return _matrices(np.concatenate(halves)), estimates, refusals

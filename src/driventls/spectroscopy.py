@@ -14,9 +14,9 @@ import functools
 
 import numpy as np
 
-from .analytic import _unwrap, analytic_quasienergies
+from .analytic import analytic_quasienergies
 from .bessel import bessel_row
-from .core import DomainError, SystemParams, _frozen, tau_grid
+from .core import DomainError, SystemParams, _frozen, _unwrap, tau_grid
 from .floquet import FloquetMode
 
 

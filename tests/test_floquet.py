@@ -63,10 +63,43 @@ def test_fold_shift_covariance():
 
 
 def test_fold_rejects_non_finite():
-    with pytest.raises(DomainError):
-        fold_quasienergy(math.nan)
-    with pytest.raises(DomainError):
-        fold_quasienergy(math.inf)
+    # a NaN or infinity anywhere, one value or a cell of a stack, to fold or to a distance
+    for bad in (math.nan, math.inf, -math.inf):
+        eps = np.array([[0.1, 0.2], [bad, 0.4]])
+        for call in (lambda: fold_quasienergy(bad), lambda: fold_quasienergy(eps), lambda: quasienergy_distance(eps, 0.0)):
+            with pytest.raises(DomainError, match=f"quasienergy must be finite, got {bad!r}"):
+                call()
+
+
+def _scalar_fold(value: float) -> float:
+    # the scalar fold that the elementwise one replaced, kept as its oracle
+    if not math.isfinite(value):
+        raise DomainError(f"quasienergy must be finite, got {value!r}")
+    if -0.5 < value <= 0.5:
+        return value
+    r = value - math.floor(value)
+    return r - 1.0 if r > 0.5 else r
+
+
+def _float_bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_elementwise_fold_and_distance_are_bitwise_the_scalar_ones():
+    edges = [0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 1e6 + 0.5, 0.75, -0.75, 2.0, 5e-324, 1e300, -1e300]
+    edges += [math.nextafter(0.5, 1.0), math.nextafter(0.5, 0.0), math.nextafter(-0.5, -1.0)]
+    values = np.concatenate((edges, np.random.default_rng(19).uniform(-3.0, 3.0, 48)))
+    expected = [_scalar_fold(v) for v in values.tolist()]
+    for value, fold in zip(values.tolist(), expected):
+        folded = fold_quasienergy(value)
+        assert type(folded) is float and _float_bits(folded) == _float_bits(fold)
+    pairs = values.reshape(-1, 2)
+    assert np.array_equal(_float_bits(fold_quasienergy(pairs)), _float_bits(expected).reshape(-1, 2))
+    others = pairs[::-1]
+    distances = [abs(_scalar_fold(a - b)) for a, b in zip(pairs.flat, others.flat)]
+    assert np.array_equal(_float_bits(quasienergy_distance(pairs, others)), _float_bits(distances).reshape(-1, 2))
+    distance = quasienergy_distance(0.4, -0.45)
+    assert type(distance) is float and distance == abs(_scalar_fold(0.4 - -0.45))
 
 
 def test_quasienergy_distance():
@@ -170,12 +203,13 @@ def test_zone_boundary_neighbourhood_solves():
 def test_batched_split_is_bitwise_the_per_matrix_solve(delta, zeta_min):
     # one stacked eigh, matmul and phase fix against the solve of each matrix
     # alone; delta = 1 without drive sits on the zone boundary, so it starts later
-    halves, _ = half_period_propagators(delta, np.linspace(zeta_min, 6.0, 25) / 2.0)
-    pairs, vectors = _split(halves)
-    for half, pair, modes in zip(halves, pairs, vectors):
+    halves, _, _ = half_period_propagators(delta, np.linspace(zeta_min, 6.0, 25) / 2.0)
+    eps_rows, errors, vectors = _split(halves)
+    assert eps_rows.shape == (25, 2) and errors == [None] * 25
+    for half, (eps1, eps2), modes in zip(halves, eps_rows.tolist(), vectors):
         q = PARITY @ half
         _, vecs = np.linalg.eigh(0.5 * (q + q.conj().T))
-        for v, eps, fixed in ((vecs[:, 1], pair.eps1, modes[0]), (vecs[:, 0], pair.eps2, modes[1])):
+        for v, eps, fixed in ((vecs[:, 1], eps1, modes[0]), (vecs[:, 0], eps2, modes[1])):
             assert eps == fold_quasienergy(-np.angle(np.conj(v) @ q @ v) / math.pi)
             big = v[0] if abs(v[0]) >= abs(v[1]) else v[1]
             expected = v * (big.conjugate() / abs(big))

@@ -48,6 +48,11 @@ CASES = {
          "30.08424503408855", "25.697903222271492", "75.34176255821092", "89.26496826507251"],
         0,
     ),
+    # zero detuning: every exact gap is exactly 0, so a flipped sign of zero would print
+    "sweep_zero.csv": (["sweep", "--delta", "0", "--zeta-max", "3", "--zeta-steps", "31"], 0),
+    "spectrum_zero.csv": (["spectrum", "--delta", "0", "--zeta", "0", "--include-forbidden"], 0),
+    # zeta = 1e300 overflows the step factors: a NaN grid, refused inside a batch that solves 0.6
+    "validate_overflow.json": (["validate", "--zetas", "0.6", "1e300"], 1),
 }
 
 QUASIENERGY = ("abs", 1e-13)
@@ -116,7 +121,10 @@ def test_output_matches_golden_within_tolerance(name):
         assert not bad, (index, {c: (row[c], golden[c]) for c in bad})
 
 
-@pytest.mark.parametrize("name", ["spectrum.csv", "spectrum.json", "spectrum_dipole.csv", "sweep.csv", "sweep_wide.csv"])
+@pytest.mark.parametrize(
+    "name",
+    ["spectrum.csv", "spectrum.json", "spectrum_dipole.csv", "spectrum_zero.csv", "sweep.csv", "sweep_wide.csv", "sweep_zero.csv"],
+)
 def test_spectrum_and_sweep_are_the_golden_bytes(name):
     # the exact propagator, spectrum and sweep moved no bit since the goldens
     assert _run(CASES[name][0])[1] == (GOLDEN / name).read_text(encoding="utf-8")

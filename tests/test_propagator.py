@@ -8,6 +8,7 @@ from oracles import shirley_quasienergies
 import driventls.propagator
 from driventls import (
     AccuracyError,
+    ClassificationError,
     DomainError,
     PropagationConfig,
     SystemParams,
@@ -139,7 +140,8 @@ def test_quarter_period_reflection(zeta, delta):
     # U(pi, 0) reflected from U(pi/2, 0) is the half-period propagator, and
     # its estimate is the one of the direct 2048/1024-step run over [0, pi]
     p = _params(delta, zeta)
-    halves, estimates = half_period_propagators(delta, [p.rabi])
+    halves, estimates, refusals = half_period_propagators(delta, [p.rabi])
+    assert refusals == [None]
     direct = propagate(p, 0.0, math.pi)
     assert np.max(np.abs(halves[0] - direct)) <= 1e-14
     coarse = propagate(p, 0.0, math.pi, PropagationConfig(steps_per_period=2048))
@@ -151,8 +153,10 @@ def test_quasienergy_scan_matches_single_points():
     # 121 drive strengths span several batches; each row equals its own solve
     zetas = np.linspace(0.0, 6.0, 121)
     scan = exact_quasienergy_scan(0.03, zetas)
-    for zeta, pair in zip(zetas, scan):
-        assert pair == exact_quasienergies(_params(0.03, zeta))
+    assert scan.shape == (121, 2)
+    for zeta, row in zip(zetas, scan.tolist()):
+        pair = exact_quasienergies(_params(0.03, zeta))
+        assert row == [pair.eps1, pair.eps2]
 
 
 def _bits(u):
@@ -175,10 +179,15 @@ def _plain_steps(delta, rabi, tau0, h, n):
 @pytest.mark.parametrize("delta", [0.0, 0.02, 1.0])
 @pytest.mark.parametrize("rabi", [np.array([[0.0], [0.3], [3.0], [50.0]]), 0.0, 0.7])
 def test_in_place_kernel_is_bitwise_the_plain_expressions(delta, rabi):
-    # signed zeros included: zero drive or detuning takes the complex route
+    # bit for bit, signed zeros included, on every row without a zero factor; a zero drive
+    # or detuning may flip the sign of a zero part, so those rows compare by value
     for tau0, span, n in ((0.0, math.pi / 2, 64), (0.0, TWO_PI, 256), (1.0, 3.0, 6)):
         steps = _steps(delta, rabi, tau0, span / n, n)
-        assert np.array_equal(_bits(steps), _bits(_plain_steps(delta, rabi, tau0, span / n, n)))
+        plain = _plain_steps(delta, rabi, tau0, span / n, n)
+        nonzero = np.full(steps.shape[:-1], delta != 0.0) & (np.asarray(rabi) != 0.0)
+        assert np.array_equal(steps, plain)
+        assert np.array_equal(_bits(steps[nonzero]), _bits(plain[nonzero]))
+        assert nonzero.any() == (delta != 0.0 and np.any(rabi))
         later, earlier = steps[..., 1::2, :], steps[..., ::2, :]
         a2, b2, a1, b1 = later[..., 0], later[..., 1], earlier[..., 0], earlier[..., 1]
         plain = np.stack((a2 * a1 - b2 * b1.conj(), a2 * b1 + b2 * a1.conj()), axis=-1)
@@ -210,9 +219,26 @@ def test_batched_grid_is_bitwise_the_one_drive_grid(monkeypatch, steps, batch_by
 
 
 def test_scan_accuracy_error_names_first_failing_point():
+    # the batch returns each drive strength's refusal; the scan raises the first
     config = PropagationConfig(steps_per_period=64)
+    _, _, refusals = half_period_propagators(0.02, [0.5, 20.0, 50.0], config)
+    assert refusals[0] is None
+    assert " at zeta = 40 with 64 steps per period;" in str(refusals[1])
+    assert " at zeta = 100 with 64 steps per period;" in str(refusals[2])
     with pytest.raises(AccuracyError, match=r"at zeta = 40 with 64 steps per period"):
-        half_period_propagators(0.02, [0.5, 20.0, 50.0], config)
+        exact_quasienergy_scan(0.02, [1.0, 40.0, 100.0], config)
+
+
+def test_scan_raises_a_refusal_before_a_zone_boundary_error():
+    # delta = 1 without drive sits on the zone boundary; zeta = 1e300 overflows the step
+    # factors, so its grid is NaN and refused, and never reaches the symmetry split
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, estimates, refusals = half_period_propagators(1.0, [0.0, 0.5e300])
+        assert refusals[0] is None and np.isnan(estimates[1])
+        with pytest.raises(AccuracyError, match=r"estimate nan exceeds 1e-07 at zeta = 1.0000000000000001e\+300"):
+            exact_quasienergy_scan(1.0, [0.0, 1e300])
+    with pytest.raises(ClassificationError, match="zone boundary"):
+        exact_quasienergy_scan(1.0, [0.6, 0.0])
 
 
 def test_accuracy_gate_trips_on_coarse_grid():
