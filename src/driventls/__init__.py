@@ -20,15 +20,12 @@ from .analytic import (
 )
 from .bessel import bessel_j, bessel_row, j0_zero, series_cutoff
 from .core import (
-    IDENTITY,
-    SIGMA_X,
     AccuracyError,
     ClassificationError,
     DomainError,
     DrivenTLSError,
     ParameterError,
     SystemParams,
-    su2_exponential,
     tau_grid,
     unitarity_defect,
 )
@@ -42,7 +39,6 @@ from .floquet import (
     quasienergy_distance,
 )
 from .propagator import (
-    DEFAULT_CONFIG,
     PropagationConfig,
     one_period_propagator,
     propagate,
@@ -60,16 +56,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyError",
     "ClassificationError",
-    "DEFAULT_CONFIG",
     "DomainError",
     "DrivenTLSError",
     "FloquetMode",
     "FloquetSolution",
-    "IDENTITY",
     "ParameterError",
     "PropagationConfig",
     "QuasienergyPair",
-    "SIGMA_X",
     "SystemParams",
     "analytic_evolution",
     "analytic_floquet_state",
@@ -92,7 +85,6 @@ __all__ = [
     "quasienergy_distance",
     "series_cutoff",
     "spectrum",
-    "su2_exponential",
     "tau_grid",
     "unitarity_defect",
     "xi_a",

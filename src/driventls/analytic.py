@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .bessel import bessel_j, bessel_row, series_cutoff
-from .core import DomainError, SystemParams, _unwrap, su2_exponential, tau_grid
+from .core import DomainError, SystemParams, _unwrap, tau_grid
 from .floquet import FloquetMode, QuasienergyPair, _phase_factor, fold_quasienergy
 
 
@@ -161,6 +161,21 @@ def analytic_floquet_state(params: SystemParams, label: int, tau) -> np.ndarray:
     return out.reshape(t.shape + (2,))
 
 
+def _su2_exponential(az: float, ap: complex) -> np.ndarray:
+    """exp(i*M) in closed form for M = [[-az, ap], [conj(ap), az]].
+
+    M is Hermitian and traceless with eigenvalues +-r, r = sqrt(az**2 + |ap|**2),
+    so the exponential is cos(r)*I + i*sin(r)/r * M, exact and branch-free.
+    """
+    r = math.sqrt(az * az + abs(ap) ** 2)
+    c = math.cos(r)
+    s = math.sin(r) / r if r > 0 else 1.0
+    return np.array(
+        [[c - 1j * s * az, 1j * s * ap], [1j * s * np.conj(ap), c + 1j * s * az]],
+        dtype=complex,
+    )
+
+
 def analytic_evolution(params: SystemParams, tau: float) -> np.ndarray:
     """First-order evolution operator from phase 0 to tau, exactly unitary.
 
@@ -188,7 +203,7 @@ def analytic_evolution(params: SystemParams, tau: float) -> np.ndarray:
     )
     ta = np.asarray(t)
     xs = _xi_s_from_row(row, ta).item()
-    correction = su2_exponential(-d * xs, d * _eta_from_row(d, row, j0, ta).item())
+    correction = _su2_exponential(-d * xs, d * _eta_from_row(d, row, j0, ta).item())
     return frame @ mean_phase @ correction
 
 

@@ -63,6 +63,15 @@ def _miller_row(order_max: int, x: float) -> np.ndarray:
     return values[: order_max + 1] / norm
 
 
+def _check_arguments(name: str, order, x) -> None:
+    """DomainError unless order is an integer >= 0, named name in the message, and x is
+    finite and >= 0."""
+    if not isinstance(order, (int, np.integer)) or order < 0:
+        raise DomainError(f"{name} must be a non-negative integer, got {order!r}")
+    if not math.isfinite(x) or x < 0:
+        raise DomainError(f"argument must be finite and >= 0, got {x!r}")
+
+
 def bessel_j(n: int, x: float) -> float:
     """Bessel function of the first kind J_n(x).
 
@@ -79,10 +88,7 @@ def bessel_j(n: int, x: float) -> float:
     float
         J_n(x), absolute error below 1e-12 for x <= 100, n <= 150.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"order must be a non-negative integer, got {n!r}")
-    if not math.isfinite(x) or x < 0:
-        raise DomainError(f"argument must be finite and >= 0, got {x!r}")
+    _check_arguments("order", n, x)
     return float(_miller_row(int(n), float(x))[n])
 
 
@@ -92,10 +98,7 @@ def bessel_row(order_max: int, x: float) -> np.ndarray:
     Satisfies the normalization J0^2 + 2*sum_{n>=1} J_n^2 = 1 up to the
     truncated tail when order_max follows series_cutoff.
     """
-    if not isinstance(order_max, (int, np.integer)) or order_max < 0:
-        raise DomainError(f"order_max must be a non-negative integer, got {order_max!r}")
-    if not math.isfinite(x) or x < 0:
-        raise DomainError(f"argument must be finite and >= 0, got {x!r}")
+    _check_arguments("order_max", order_max, x)
     return _frozen(_miller_row(int(order_max), float(x)), float)
 
 

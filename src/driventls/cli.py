@@ -329,20 +329,18 @@ def _to_csv(payload: dict) -> Iterator[str]:
     yield text
 
 
-def render(payload: dict, output_format: str, out: TextIO | None = None) -> str | None:
-    """Serialize a command payload to CSV or JSON text.
+def render(payload: dict, output_format: str, out: TextIO) -> None:
+    """Serialize a command payload to the text stream out as CSV or JSON.
 
     A payload maps names to scalars, flat dicts, flat lists and tables: dicts
     of equal-length columns, each a 1-D array or a list that may hold None.
     CSV puts the table after `#` header lines; JSON writes it as row objects.
-    Given a text stream `out`, each chunk of _CHUNK_ROWS rows is written to it
-    as soon as it is built, so the document is never whole; else it is returned.
+    Each chunk of _CHUNK_ROWS rows is written as soon as it is built, so the
+    document is never whole.
     """
     if output_format not in _FORMATS:
         raise DomainError(f"output format must be one of {_FORMATS}")
     chunks = _to_json(payload) if output_format == "json" else _to_csv(payload)
-    if out is None:
-        return "".join(chunks)
     for chunk in chunks:
         out.write(chunk)
 

@@ -3,10 +3,10 @@
 All modules work in the dimensionless phase variable tau = omega_L * t, so
 one drive period is T = 2*pi and every energy is measured in units of the
 drive photon energy.  The basis ordering is (|1>, |2>) = (ground, excited)
-throughout, which fixes sigma_z = |2><2| - |1><1| = diag(-1, +1).  Mixing
-conventions is the classic source of sign errors in this problem, so the
-drive and dipole operator sigma_x is defined here once and imported
-everywhere else.
+throughout, which fixes sigma_z = |2><2| - |1><1| = diag(-1, +1) and makes
+the drive and dipole operator sigma_x = |1><2| + |2><1| swap the two
+components of a spinor.  Mixing conventions is the classic source of sign
+errors in this problem, so every module follows this one.
 """
 
 from __future__ import annotations
@@ -48,11 +48,6 @@ def _frozen(values, dtype=complex) -> np.ndarray:
 def _unwrap(out):
     # scalars in, Python scalars out; arrays pass through
     return out.item() if np.ndim(out) == 0 else out
-
-
-IDENTITY = _frozen([[1, 0], [0, 1]])
-# sigma_x = |1><2| + |2><1|, the drive coupling and dipole operator
-SIGMA_X = _frozen([[0, 1], [1, 0]])
 
 
 @dataclass(frozen=True)
@@ -102,21 +97,6 @@ class SystemParams:
         return 2.0 * self.rabi
 
 
-def su2_exponential(az: float, ap: complex) -> np.ndarray:
-    """exp(i*M) in closed form for M = [[-az, ap], [conj(ap), az]].
-
-    M is Hermitian and traceless with eigenvalues +-r, r = sqrt(az**2 + |ap|**2),
-    so the exponential is cos(r)*I + i*sin(r)/r * M, exact and branch-free.
-    """
-    r = math.sqrt(az * az + abs(ap) ** 2)
-    c = math.cos(r)
-    s = math.sin(r) / r if r > 0 else 1.0
-    return np.array(
-        [[c - 1j * s * az, 1j * s * ap], [1j * s * np.conj(ap), c + 1j * s * az]],
-        dtype=complex,
-    )
-
-
 def tau_grid(n: int) -> np.ndarray:
     """Uniform phase grid tau_k = 2*pi*k/n, k = 0..n-1 (endpoint excluded)."""
     if not isinstance(n, (int, np.integer)) or n < 1:
@@ -126,4 +106,4 @@ def tau_grid(n: int) -> np.ndarray:
 
 def unitarity_defect(u: np.ndarray):
     """Max-norm deviation of U^dagger U from the identity: a float, or an array for a stack."""
-    return np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - IDENTITY), axis=(-2, -1))
+    return np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(2)), axis=(-2, -1))

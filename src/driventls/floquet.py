@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ClassificationError, DomainError, _frozen, _unwrap, tau_grid
-from .propagator import PropagationConfig, grid_propagators, half_period_propagators, propagate_grid
+from .propagator import DEFAULT_CONFIG, PropagationConfig, grid_propagators, half_period_propagators, propagate_grid
 
 # generalized-parity matrix: swaps nothing, flips the excited amplitude
 PARITY = _frozen([[1, 0], [0, -1]])
@@ -187,7 +187,7 @@ def build_modes(
         mode; mode samples are unit norm at every grid point and satisfy the
         phase convention at tau = 0.
     """
-    config = config or PropagationConfig()
+    config = config or DEFAULT_CONFIG
     _check_grid(n_grid, config)
     grid, estimate = propagate_grid(params, config, n_grid)
     eps, errors, (samples,) = _modes(grid[None])

@@ -162,9 +162,11 @@ def _checked(delta: float, rabis, tau0: float, span: float, n_steps: int, n_out:
     """
     stride = 1 if (n_steps // n_out) % 2 == 0 else 2
     rabis = np.asarray(rabis, dtype=float).reshape(-1)
-    fine = _evolve(delta, rabis, tau0, span, n_steps, n_out)
-    coarse = _evolve(delta, rabis, tau0, span, n_steps // 2, n_out // stride)
-    estimates = np.max(np.abs(fine[:, ::stride] - coarse), axis=(1, 2)) / 15.0
+    # from zeta ~ 1e157 the step factors overflow to NaN, which the estimate refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        fine = _evolve(delta, rabis, tau0, span, n_steps, n_out)
+        coarse = _evolve(delta, rabis, tau0, span, n_steps // 2, n_out // stride)
+        estimates = np.max(np.abs(fine[:, ::stride] - coarse), axis=(1, 2)) / 15.0
     where = f"with {n_steps} steps over a span of {span:.6g}"
     return fine, estimates, [_refusal(e, where) for e in estimates]
 
@@ -274,16 +276,18 @@ def half_period_propagators(
     h = 0.5 * math.pi / n
     batch = max(1, _BATCH_BYTES // (32 * n))
     halves, estimates = [], []
-    for chunk in np.split(rabis, range(batch, rabis.size, batch)):
-        # the fine run's first tree level leaves as many factors as the half-step run
-        # has steps, so the rest of both trees is one product over stacked rows
-        fine = _steps(delta, chunk[:, None], 0.0, h, n)
-        fine = _compose(fine[:, 1::2], fine[:, ::2])
-        u = _product(np.concatenate((fine, _steps(delta, chunk[:, None], 0.0, 2.0 * h, n // 2))))
-        # P U^T P is the pair (a, conj(b))
-        runs = np.split(_compose(np.stack((u[..., 0], u[..., 1].conj()), axis=-1), u), 2)
-        halves.append(runs[0])
-        estimates.append(np.max(np.abs(runs[0] - runs[1]), axis=-1) / 15.0)
+    # as in _checked, an overflow to NaN is refused by its estimate
+    with np.errstate(over="ignore", invalid="ignore"):
+        for chunk in np.split(rabis, range(batch, rabis.size, batch)):
+            # the fine run's first tree level leaves as many factors as the half-step run
+            # has steps, so the rest of both trees is one product over stacked rows
+            fine = _steps(delta, chunk[:, None], 0.0, h, n)
+            fine = _compose(fine[:, 1::2], fine[:, ::2])
+            u = _product(np.concatenate((fine, _steps(delta, chunk[:, None], 0.0, 2.0 * h, n // 2))))
+            # P U^T P is the pair (a, conj(b))
+            runs = np.split(_compose(np.stack((u[..., 0], u[..., 1].conj()), axis=-1), u), 2)
+            halves.append(runs[0])
+            estimates.append(np.max(np.abs(runs[0] - runs[1]), axis=-1) / 15.0)
     estimates = np.concatenate(estimates)
     refusals = [
         _refusal(estimate, f"at zeta = {2.0 * rabi:.17g} with {4 * n} steps per period")

@@ -24,13 +24,19 @@ from driventls import (
     j0_zero,
     phi,
     propagate,
-    su2_exponential,
     tau_grid,
     unitarity_defect,
     xi_a,
     xi_s,
 )
-from driventls.analytic import _coefficient_row, _grid_series, _states, _xi_a_from_row, _xi_s_from_row
+from driventls.analytic import (
+    _coefficient_row,
+    _grid_series,
+    _states,
+    _su2_exponential,
+    _xi_a_from_row,
+    _xi_s_from_row,
+)
 
 # frozen outputs of the quadrature oracle (tests/oracles.py), which builds
 # xi_s and xi_a from their derivative relations by Gauss-Legendre
@@ -234,7 +240,7 @@ def test_evolution_reads_two_bessel_rows(monkeypatch):
         [[math.cos(ph), 1j * math.sin(ph)], [1j * math.sin(ph), math.cos(ph)]], dtype=complex
     )
     mean_phase = np.diag([np.exp(0.5j * d * j0 * tau), np.exp(-0.5j * d * j0 * tau)])
-    expected = frame @ mean_phase @ su2_exponential(-d * xi_s(p, tau), d * eta(p, tau))
+    expected = frame @ mean_phase @ _su2_exponential(-d * xi_s(p, tau), d * eta(p, tau))
     rows = []
     original = driventls.bessel._miller_row
 

@@ -1,4 +1,5 @@
 import contextlib
+import io
 import json
 import math
 import os
@@ -24,6 +25,12 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _render(payload, fmt):
+    out = io.StringIO()
+    render(payload, fmt, out)
+    return out.getvalue()
 
 
 def test_weights_csv_stdout(capsys):
@@ -571,12 +578,23 @@ def test_unwritable_output_exits_3(capsys):
     assert "cannot write" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_drive_is_refused_without_warnings(capsys):
+    # zeta = 1e300 overflows the step factors; stderr carries the refusal alone, with no
+    # numpy warning naming a source path or line
+    golden = Path(__file__).resolve().parent / "golden" / "validate_overflow.json"
+    assert _run(capsys, ["validate", "--zetas", "0.6", "1e300"]) == (1, golden.read_text(encoding="utf-8"), "")
+    code, out, err = _run(capsys, ["sweep", "--zeta-max", "1e300"])
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: step-halving error estimate nan exceeds 1e-07 at zeta = ")
+
+
 def test_float_formatting_roundtrip():
     values = [math.pi, 0.1, 1.0 / 3.0, 1e-300, 0.015212108882204693, 123456.7890123]
-    text = render({"values": values}, "csv")
+    text = _render({"values": values}, "csv")
     assert text.startswith("# values = [") and text.endswith("]\n")
     assert [float(cell) for cell in text[12:-2].split(", ")] == values
-    assert render({"one": 1.0}, "csv") == "# one = 1\n"
+    assert _render({"one": 1.0}, "csv") == "# one = 1\n"
 
 
 _CONTRACT_PAYLOAD = {
@@ -659,8 +677,8 @@ _CONTRACT_JSON = r'''{
 
 def test_render_contract():
     # "-0" must survive deduplication, which takes 0.0 == -0.0 as equal
-    assert render(_CONTRACT_PAYLOAD, "csv") == _CONTRACT_CSV
-    text = render(_CONTRACT_PAYLOAD, "json")
+    assert _render(_CONTRACT_PAYLOAD, "csv") == _CONTRACT_CSV
+    text = _render(_CONTRACT_PAYLOAD, "json")
     assert text == _CONTRACT_JSON
     # json.loads reads "-0" as the integer 0, so the sign is pinned by the text
     payload = json.loads(text)
@@ -677,7 +695,7 @@ def test_render_contract():
 
 def test_render_rejects_unknown_format():
     with pytest.raises(DomainError):
-        render({"rows": []}, "yaml")
+        render({"rows": []}, "yaml", io.StringIO())
 
 
 class _Sink:
@@ -708,7 +726,7 @@ def _contract_rows(n):
 
 def _cycled_text(fmt, n):
     """The four-row text with its rows cycled to n rows: what rendering n rows must give."""
-    text = render(_contract_rows(4), fmt)
+    text = _render(_contract_rows(4), fmt)
     if fmt == "csv":
         lines = text.splitlines(keepends=True)
         return "".join(lines[:-4] + [lines[-4 + i % 4] for i in range(n)] if n else lines[:-5])
@@ -728,10 +746,10 @@ _CHUNK = driventls.cli._CHUNK_ROWS
 def test_row_chunks_are_invisible(fmt, n):
     payload = _contract_rows(n)
     sink = _Sink()
-    assert render(payload, fmt, sink) is None
-    text = render(payload, fmt)
+    render(payload, fmt, sink)
+    text = "".join(sink.chunks)
     # compared as line lists, whose failure report is short where two long strings' is slow
-    assert "".join(sink.chunks).split("\n") == text.split("\n") == _cycled_text(fmt, n).split("\n")
+    assert text.split("\n") == _cycled_text(fmt, n).split("\n")
     assert len(sink.chunks) >= math.ceil(n / _CHUNK)
     if fmt == "json":
         rows = json.loads(text)["rows"]

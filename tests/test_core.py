@@ -1,19 +1,20 @@
+import inspect
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import driventls
 from driventls import (
-    IDENTITY,
-    SIGMA_X,
     DomainError,
     ParameterError,
     SystemParams,
-    su2_exponential,
     tau_grid,
     unitarity_defect,
 )
+from driventls.analytic import _su2_exponential
 
 
 def test_params_fields_and_zeta():
@@ -66,19 +67,8 @@ def test_params_immutable():
         p.delta = 0.2
 
 
-def test_pauli_matrices_fixed():
-    # sigma_x = |1><2| + |2><1| in the (ground, excited) ordering
-    assert np.array_equal(SIGMA_X, [[0.0, 1.0], [1.0, 0.0]])
-    assert not SIGMA_X.flags.writeable
-
-
-def test_constants_immutable():
-    with pytest.raises(ValueError):
-        IDENTITY[0, 0] = 5.0
-
-
 def test_su2_exponential_identity_and_series():
-    assert np.allclose(su2_exponential(0.0, 0.0), IDENTITY)
+    assert np.allclose(_su2_exponential(0.0, 0.0), np.eye(2))
     az, ap = 0.4, 0.3 + 0.2j
     m = 1j * np.array([[-az, ap], [np.conj(ap), az]])
     ref = np.eye(2, dtype=complex)
@@ -86,7 +76,7 @@ def test_su2_exponential_identity_and_series():
     for n in range(1, 40):
         term = term @ m / n
         ref = ref + term
-    got = su2_exponential(az, ap)
+    got = _su2_exponential(az, ap)
     assert np.max(np.abs(got - ref)) <= 1e-14
     assert unitarity_defect(got) <= 1e-14
     assert abs(np.linalg.det(got) - 1.0) <= 1e-14
@@ -108,10 +98,13 @@ def test_unitarity_defect():
 
 REMOVED_NAMES = (
     "BesselSeries",
+    "DEFAULT_CONFIG",
+    "IDENTITY",
     "ModeMatch",
     "PARITY",
     "SIGMA_MINUS",
     "SIGMA_PLUS",
+    "SIGMA_X",
     "SIGMA_Z",
     "alpha",
     "beta_over_i",
@@ -119,6 +112,7 @@ REMOVED_NAMES = (
     "hamiltonian_at",
     "match_modes",
     "pauli_combination",
+    "su2_exponential",
 )
 
 
@@ -129,4 +123,18 @@ def test_public_surface():
         getattr(driventls, name)
     assert not any(hasattr(driventls, name) for name in REMOVED_NAMES)
     assert not hasattr(SystemParams, "epsilon_eff")
-    assert len(driventls.__all__) <= 40
+    assert len(driventls.__all__) <= 35
+
+
+def test_every_exported_name_is_documented_and_nothing_else_is_public():
+    # the README's Library section names the whole public API, and the package
+    # offers no public name beyond it apart from its modules and version
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    assert [name for name in driventls.__all__ if not re.search(rf"\b{name}\b", library)] == []
+    public = {
+        name
+        for name, value in vars(driventls).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == set(driventls.__all__)

@@ -8,7 +8,6 @@ from oracles import shirley_line_intensities
 
 import driventls.spectroscopy
 from driventls import (
-    SIGMA_X,
     DomainError,
     SystemParams,
     analytic_quasienergies,
@@ -26,6 +25,9 @@ from driventls.spectroscopy import _line_stack
 J0_PI = -0.30424217764409384
 J1_PI = 0.28461534317975273
 J2_PI = 0.48543393263150914
+
+# sigma_x = |1><2| + |2><1| in the (ground, excited) ordering, the dipole operator
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def _params(delta, zeta, dipole=1.0):
