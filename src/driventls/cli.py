@@ -19,7 +19,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -43,55 +42,34 @@ _FORMATS = ("csv", "json")
 _CHUNK_ROWS = 1024  # table rows per written chunk; 256 to 4096 render alike, more only holds more text
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Bundle of everything a subcommand needs besides its own arguments."""
-
-    params: SystemParams
-    propagation: PropagationConfig
-    n_grid: int = 512
-
-
-def _param_echo(config: RunConfig) -> dict:
-    p, prop = config.params, config.propagation
-    return {
-        "delta": p.delta,
-        "rabi": p.rabi,
-        "zeta": p.zeta,
-        "dipole": p.dipole,
-        "steps_per_period": prop.steps_per_period,
-        "n_grid": config.n_grid,
-    }
-
-
-def cmd_weights(config: RunConfig, zeta_list: list[float]) -> dict:
+def cmd_weights(params: SystemParams, propagation: PropagationConfig, n_grid: int, zeta_list: list[float]) -> dict:
     """Bare-state weights of both modes over one period, per drive strength.
 
     Rows carry both the exact-solver and the closed-form states so the two
     can be plotted against each other directly.
     """
-    errors, _, exact, _ = _mode_scan(config.params.delta, zeta_list, config.propagation, config.n_grid)
+    errors, _, exact, _ = _mode_scan(params.delta, zeta_list, propagation, n_grid)
     _raise_first(errors)
-    n, m = config.n_grid, len(zeta_list)
-    analytic = _states(config.params.delta, zeta_list, tau_grid(n), on_grid=True)
+    m = len(zeta_list)
+    analytic = _states(params.delta, zeta_list, tau_grid(n_grid), on_grid=True)
     # per zeta its exact, then its analytic modes, each mode 1 then mode 2
     weights = np.concatenate([np.abs(exact) ** 2, np.abs(analytic) ** 2], axis=1)
     rows = {
-        "zeta": np.repeat(np.asarray(zeta_list, dtype=float), 4 * n),
-        "mode": np.tile(np.repeat([1, 2], n), 2 * m),
-        "source": np.tile(np.repeat(["exact", "analytic"], 2 * n), m),
-        "tau": np.tile(tau_grid(n), 4 * m),
+        "zeta": np.repeat(np.asarray(zeta_list, dtype=float), 4 * n_grid),
+        "mode": np.tile(np.repeat([1, 2], n_grid), 2 * m),
+        "source": np.tile(np.repeat(["exact", "analytic"], 2 * n_grid), m),
+        "tau": np.tile(tau_grid(n_grid), 4 * m),
         "weight1": weights[..., 0].ravel(),
         "weight2": weights[..., 1].ravel(),
     }
-    payload = {"command": "weights", "params": _param_echo(config)}
-    payload["zetas"] = [float(z) for z in zeta_list]
-    payload["rows"] = rows
-    return payload
+    return {"zetas": [float(z) for z in zeta_list], "rows": rows}
 
 
-def _crossings(config: RunConfig, brackets: list[tuple[float, float, float, float]]) -> list[float]:
-    """Zeros of the parity gap eps2 - eps1, one per bracket (a, b, fa, fb) it changes sign over.
+def _crossings(
+    delta: float, propagation: PropagationConfig, brackets: list[tuple[float, float, float, float]]
+) -> list[float]:
+    """Zeros of the parity gap eps2 - eps1, one per bracket (a, b, fa, fb) it changes sign
+    over; a bracket (z, z, 0.0, 0.0) at an exact zero comes back as z with no solve.
 
     Illinois regula falsi (Dowell & Jarratt, BIT 11, 168 (1971)): b is the latest solve,
     and the retained end a has its gap halved each time it survives.  Solves stay 2.5e-13
@@ -107,7 +85,7 @@ def _crossings(config: RunConfig, brackets: list[tuple[float, float, float, floa
         for a, b, fa, fb, _ in active:
             e = 2.5e-13 / abs(b - a)
             zetas.append(b + (a - b) * min(max(fb / (fb - fa), e), 1.0 - e))
-        eps = exact_quasienergy_scan(config.params.delta, zetas, config.propagation)
+        eps = exact_quasienergy_scan(delta, zetas, propagation)
         for state, c, fc in zip(active, zetas, (eps[:, 1] - eps[:, 0]).tolist()):
             a, b, fa, fb, best = state
             if (fc > 0.0) == (fb > 0.0):
@@ -119,11 +97,7 @@ def _crossings(config: RunConfig, brackets: list[tuple[float, float, float, floa
 
 
 def cmd_sweep(
-    config: RunConfig,
-    zeta_min: float,
-    zeta_max: float,
-    zeta_steps: int,
-    manifolds: int,
+    params: SystemParams, propagation: PropagationConfig, zeta_min: float, zeta_max: float, zeta_steps: int, manifolds: int
 ) -> dict:
     """Quasienergy levels versus drive strength, with replica manifolds.
 
@@ -132,44 +106,41 @@ def cmd_sweep(
     sign (the level crossings), each located to 1e-12.
     """
     zetas = np.linspace(zeta_min, zeta_max, int(zeta_steps))
-    exact = exact_quasienergy_scan(config.params.delta, zetas, config.propagation)
+    exact = exact_quasienergy_scan(params.delta, zetas, propagation)
     gaps = (exact[:, 1] - exact[:, 0]).tolist()
     ns = np.arange(-int(manifolds), int(manifolds) + 1)
     rows = {"zeta": np.repeat(zetas, ns.size), "n": np.tile(ns, zetas.size)}
-    for source, pairs in (("analytic", _quasienergies(config.params.delta, zetas)), ("exact", exact)):
+    for source, pairs in (("analytic", _quasienergies(params.delta, zetas)), ("exact", exact)):
         for label, eps in zip(("eps1", "eps2"), pairs.T):
             rows[f"{label}_{source}"] = np.add.outer(eps, ns).ravel()
-    crossings, brackets = [], []
+    # an exact zero of the gap is a bracket already collapsed onto its grid zeta
+    brackets = []
     for idx, gap in enumerate(gaps):
+        zeta = float(zetas[idx])
         if gap == 0.0:
-            crossings.append(float(zetas[idx]))
+            brackets.append((zeta, zeta, 0.0, 0.0))
         elif idx + 1 < len(gaps) and gap * gaps[idx + 1] < 0.0:
-            crossings.append(None)
-            brackets.append((float(zetas[idx]), float(zetas[idx + 1]), gap, gaps[idx + 1]))
-    # the brackets' zeros fill their places in order
-    located = iter(_crossings(config, brackets))
-    crossings = [next(located) if zeta is None else zeta for zeta in crossings]
-    payload = {"command": "sweep", "params": _param_echo(config)}
-    payload["zeta_min"] = float(zeta_min)
-    payload["zeta_max"] = float(zeta_max)
-    payload["zeta_steps"] = int(zeta_steps)
-    payload["manifolds"] = int(manifolds)
-    payload["crossings"] = crossings
-    payload["rows"] = rows
-    return payload
+            brackets.append((zeta, float(zetas[idx + 1]), gap, gaps[idx + 1]))
+    return {
+        "zeta_min": float(zeta_min),
+        "zeta_max": float(zeta_max),
+        "zeta_steps": int(zeta_steps),
+        "manifolds": int(manifolds),
+        "crossings": _crossings(params.delta, propagation, brackets),
+        "rows": rows,
+    }
 
 
-def cmd_spectrum(config: RunConfig, k_max: int, include_forbidden: bool) -> dict:
+def cmd_spectrum(
+    params: SystemParams, propagation: PropagationConfig, n_grid: int, k_max: int, include_forbidden: bool
+) -> dict:
     """Transition line table for the configured drive strength."""
-    modes = build_modes(config.params, config.propagation, config.n_grid).modes
-    payload = {"command": "spectrum", "params": _param_echo(config)}
-    payload["k_max"] = int(k_max)
-    payload["include_forbidden"] = bool(include_forbidden)
-    payload["rows"] = spectrum(config.params, modes, k_max, include_forbidden)
-    return payload
+    modes = build_modes(params, propagation, n_grid).modes
+    rows = spectrum(params, modes, k_max, include_forbidden)
+    return {"k_max": int(k_max), "include_forbidden": bool(include_forbidden), "rows": rows}
 
 
-def cmd_validate(config: RunConfig, zeta_list: list[float]) -> dict:
+def cmd_validate(params: SystemParams, propagation: PropagationConfig, n_grid: int, zeta_list: list[float]) -> dict:
     """First-order accuracy report with fixed pass/fail gates.
 
     The gates are calibrated for delta = 0.02; running far outside the
@@ -177,8 +148,8 @@ def cmd_validate(config: RunConfig, zeta_list: list[float]) -> dict:
     to flag the closed-form checks while the exact-solver gates still pass.
     A failure in one drive strength is recorded and does not abort the rest.
     """
-    delta, mu2 = config.params.delta, config.params.dipole**2
-    errors, exact_eps, exact, monodromies = _mode_scan(delta, zeta_list, config.propagation, config.n_grid)
+    delta, mu2 = params.delta, params.dipole**2
+    errors, exact_eps, exact, monodromies = _mode_scan(delta, zeta_list, propagation, n_grid)
     # the checks of every solved zeta come from one pass over their stacks
     zetas = [zeta for zeta, error in zip(zeta_list, errors) if error is None]
 
@@ -192,11 +163,11 @@ def cmd_validate(config: RunConfig, zeta_list: list[float]) -> dict:
     rel_error = np.max(miss / np.where(strong, closed, 1.0), axis=1, where=strong, initial=0.0)
     intensities_ok = ~np.any(checked & ~strong & (miss > 1e-12 * mu2), axis=1)
 
-    drift = unitarity_defect(monodromies) / config.propagation.steps_per_period
+    drift = unitarity_defect(monodromies) / propagation.steps_per_period
 
     # both solvers label the symmetric mode 1, so the modes pair by label
     gap = quasienergy_distance(exact_eps, _quasienergies(delta, zetas)).max(axis=1)
-    analytic = _states(delta, zetas, tau_grid(config.n_grid), on_grid=True)
+    analytic = _states(delta, zetas, tau_grid(n_grid), on_grid=True)
     overlaps = np.mean(np.sum(np.conj(exact) * analytic, axis=-1), axis=-1)
     # hypot is abs of one complex scalar; numpy's array abs can round the last bit otherwise
     fidelity = (np.hypot(overlaps.real, overlaps.imag) ** 2).min(axis=1)
@@ -226,11 +197,7 @@ def cmd_validate(config: RunConfig, zeta_list: list[float]) -> dict:
     checks.update({key: column(values, None) for key, values in metrics.items()})
     checks.update({key: column(values, False) for key, values in gates.items()})
     checks["error"] = [None if error is None else str(error) for error in errors]
-    payload = {"command": "validate", "params": _param_echo(config)}
-    payload["thresholds"] = dict(_THRESHOLDS)
-    payload["checks"] = checks
-    payload["overall_pass"] = all(checks["pass"])
-    return payload
+    return {"thresholds": dict(_THRESHOLDS), "checks": checks, "overall_pass": all(checks["pass"])}
 
 
 def _texts(columns: list, as_json: bool) -> list[list[str]]:
@@ -378,8 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--delta", type=float, default=0.02, help="detuning over drive frequency (default 0.02)")
     drive = common.add_mutually_exclusive_group()
-    drive.add_argument("--rabi", type=float, default=math.pi / 10.0, help="Rabi amplitude over drive frequency")
-    drive.add_argument("--zeta", type=float, default=None, help="drive strength 2*rabi (default pi/5)")
+    drive.add_argument("--rabi", type=_at_least(float, 0.0), default=math.pi / 10.0, help="Rabi amplitude over drive frequency")
+    drive.add_argument("--zeta", type=_at_least(float, 0.0), default=None, help="drive strength 2*rabi (default pi/5)")
     common.add_argument("--mu", type=float, default=1.0, help="dipole moment (default 1)")
     common.add_argument("--steps", type=int, default=4096, help="integrator steps per period (default 4096)")
     common.add_argument("--grid", type=_grid_size, default=512, help="mode samples per period (default 512)")
@@ -407,11 +374,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         rabi = args.rabi if args.zeta is None else args.zeta / 2.0
-        config = RunConfig(
-            params=SystemParams(delta=args.delta, rabi=rabi, dipole=args.mu),
-            propagation=PropagationConfig(steps_per_period=args.steps),
-            n_grid=args.grid,
-        )
+        params = SystemParams(delta=args.delta, rabi=rabi, dipole=args.mu)
+        propagation = PropagationConfig(steps_per_period=args.steps)
         if args.command == "sweep" and not args.zeta_min < args.zeta_max:
             raise DomainError("--zeta-min must be below --zeta-max")
         if args.command != "sweep" and args.grid > args.steps:
@@ -421,15 +385,19 @@ def main(argv: list[str] | None = None) -> int:
     except DrivenTLSError as exc:
         parser.error(str(exc))
 
+    # every document opens with the command and its parameters, then the command's own fields
+    echo = {"delta": params.delta, "rabi": params.rabi, "zeta": params.zeta, "dipole": params.dipole}
+    echo |= {"steps_per_period": propagation.steps_per_period, "n_grid": args.grid}
+    payload = {"command": args.command, "params": echo}
     try:
         if args.command == "weights":
-            payload = cmd_weights(config, args.zetas)
+            payload |= cmd_weights(params, propagation, args.grid, args.zetas)
         elif args.command == "sweep":
-            payload = cmd_sweep(config, args.zeta_min, args.zeta_max, args.zeta_steps, args.manifolds)
+            payload |= cmd_sweep(params, propagation, args.zeta_min, args.zeta_max, args.zeta_steps, args.manifolds)
         elif args.command == "spectrum":
-            payload = cmd_spectrum(config, args.k_max, args.include_forbidden)
+            payload |= cmd_spectrum(params, propagation, args.grid, args.k_max, args.include_forbidden)
         else:
-            payload = cmd_validate(config, args.zetas)
+            payload |= cmd_validate(params, propagation, args.grid, args.zetas)
     except DrivenTLSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

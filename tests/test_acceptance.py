@@ -29,7 +29,7 @@ from driventls import (
     tau_grid,
     unitarity_defect,
 )
-from driventls.cli import RunConfig, cmd_sweep
+from driventls.cli import cmd_sweep
 
 TWO_PI = 2.0 * math.pi
 DELTA = 0.02
@@ -64,10 +64,7 @@ def _params(delta, zeta):
 
 @pytest.fixture(scope="module")
 def quasienergy_sweep():
-    config = RunConfig(
-        params=SystemParams(delta=DELTA, rabi=1.0), propagation=PropagationConfig()
-    )
-    return cmd_sweep(config, 0.0, 6.0, 121, 0)
+    return cmd_sweep(SystemParams(delta=DELTA, rabi=1.0), PropagationConfig(), 0.0, 6.0, 121, 0)
 
 
 def test_criterion_01_quasienergy_first_order(quasienergy_sweep):

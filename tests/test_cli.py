@@ -140,13 +140,51 @@ def test_sweep_finds_crossing(capsys):
     assert payload["crossings"][0] == pytest.approx(2.404825557695773, abs=0.01)
 
 
-def test_sweep_lists_exact_zeros_at_every_grid_point(capsys):
+@pytest.fixture
+def scans(monkeypatch):
+    """The drive strengths of each exact_quasienergy_scan call the CLI makes, one list per call."""
+    calls, scan = [], driventls.cli.exact_quasienergy_scan
+
+    def counting_scan(delta, zetas, config=None):
+        calls.append(list(zetas))
+        return scan(delta, zetas, config)
+
+    monkeypatch.setattr(driventls.cli, "exact_quasienergy_scan", counting_scan)
+    return calls
+
+
+def test_sweep_lists_exact_zeros_at_every_grid_point(capsys, scans):
     # without detuning the parity gap is exactly 0 at every drive strength, so
-    # every grid point, the first and the last included, is a crossing
+    # every grid point, the first and the last included, is a crossing, and
+    # none needs a solve beyond the grid's one scan
     argv = ["sweep", "--delta", "0", "--zeta-steps", "5", "--manifolds", "0", "--format", "json"]
     code, out, _ = _run(capsys, argv)
     assert code == 0
     assert json.loads(out)["crossings"] == [0.0, 1.5, 3.0, 4.5, 6.0]
+    assert len(scans) == 1
+
+
+def test_collapsed_bracket_keeps_its_place_and_costs_no_solve(scans):
+    # the sign changes of the default delta = 0.02 grid near 2.40 and 5.52, with an
+    # exact zero's bracket, collapsed onto its grid zeta, between them
+    delta, propagation = 0.02, driventls.PropagationConfig()
+    grid = np.linspace(0.0, 6.0, 121)
+    eps = driventls.cli.exact_quasienergy_scan(delta, grid, propagation)
+    gaps = (eps[:, 1] - eps[:, 0]).tolist()
+    brackets = [
+        (float(grid[i]), float(grid[i + 1]), gaps[i], gaps[i + 1]) for i in range(120) if gaps[i] * gaps[i + 1] < 0.0
+    ]
+    assert [round(a, 2) for a, *_ in brackets] == [2.4, 5.5]
+    scans.clear()
+    crossings = driventls.cli._crossings(delta, propagation, brackets)
+    alone = list(scans)
+    scans.clear()
+    zero = float(np.nextafter(3.0, 4.0))
+    located = driventls.cli._crossings(delta, propagation, [brackets[0], (zero, zero, 0.0, 0.0), brackets[1]])
+    assert located == [crossings[0], zero, crossings[1]]
+    assert located[0] < located[1] < located[2]
+    # the collapsed bracket adds no solve: every round scans the same drive strengths
+    assert scans == alone
 
 
 def _shirley_crossing(delta, lo, hi):
@@ -173,28 +211,22 @@ def test_sweep_crossings_match_shirley(capsys, delta):
         assert abs(zeta - reference) <= 1e-12
 
 
-def test_sweep_crossings_take_few_solves(monkeypatch, capsys):
+def test_sweep_crossings_take_few_solves(monkeypatch, capsys, scans):
     # the 121 grid points come from one batched scan; every further Floquet
     # solve is spent locating the two crossings, which advance in lock-step
     # with one scan per round
-    solves, scans = [], []
-    split, scan = driventls.floquet._split, driventls.cli.exact_quasienergy_scan
+    solves, split = [], driventls.floquet._split
 
     def counting_split(halves):
         solves.extend(halves)
         return split(halves)
 
-    def counting_scan(delta, zetas, config=None):
-        scans.append(len(zetas))
-        return scan(delta, zetas, config)
-
     monkeypatch.setattr(driventls.floquet, "_split", counting_split)
-    monkeypatch.setattr(driventls.cli, "exact_quasienergy_scan", counting_scan)
     code, out, _ = _run(capsys, ["sweep", "--format", "json"])
     assert code == 0
     assert len(json.loads(out)["crossings"]) == 2
     assert len(solves) - 121 <= 24
-    assert scans[0] == 121 and len(scans) <= 6
+    assert len(scans[0]) == 121 and len(scans) <= 6
 
 
 def test_lock_step_crossings_match_one_bracket_sweeps(capsys):
@@ -488,13 +520,19 @@ def test_usage_errors_exit_2(capsys):
         ["sweep", "--zeta-steps", "1"],
         ["spectrum", "--k-max", "0"],
         ["spectrum", "--k-max", "32", "--grid", "64"],
+        ["spectrum", "--zeta", "-1"],
+        ["spectrum", "--zeta", "nan"],
+        ["spectrum", "--rabi", "-1"],
         ["nonsense"],
         [],
     ):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        # a bad drive strength is blamed on the flag that carried it
+        for flag in {"--rabi", "--zeta"} & set(argv):
+            assert f"error: argument {flag}: must be a finite number >= 0.0, got {argv[-1]!r}" in err
 
 
 @pytest.mark.parametrize(
@@ -790,12 +828,9 @@ def test_full_stdout_exits_3_in_a_fresh_process():
 
 
 def test_streamed_table_never_holds_the_document():
-    config = driventls.cli.RunConfig(
-        params=driventls.SystemParams(delta=0.02, rabi=0.3, dipole=1.0),
-        propagation=driventls.PropagationConfig(steps_per_period=4096),
-        n_grid=4096,
-    )
-    payload = driventls.cli.cmd_weights(config, [0.6, 3.1])
+    params = driventls.SystemParams(delta=0.02, rabi=0.3, dipole=1.0)
+    propagation = driventls.PropagationConfig(steps_per_period=4096)
+    payload = driventls.cli.cmd_weights(params, propagation, 4096, [0.6, 3.1])
     columns = list(payload["rows"].values())
     for fmt in ("csv", "json"):
         chunk = max(map(len, driventls.cli._to_json(payload) if fmt == "json" else driventls.cli._to_csv(payload)))
