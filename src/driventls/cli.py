@@ -40,29 +40,43 @@ _THRESHOLDS = {
 _FORMATS = ("csv", "json")
 
 _CHUNK_ROWS = 1024  # table rows per written chunk; 256 to 4096 render alike, more only holds more text
+_BLOCK_ROWS = 8192  # table rows a command builds and formats at once: one (zeta, source) pair at grid 4096
 
 
 def cmd_weights(params: SystemParams, propagation: PropagationConfig, n_grid: int, zeta_list: list[float]) -> dict:
     """Bare-state weights of both modes over one period, per drive strength.
 
     Rows carry both the exact-solver and the closed-form states so the two
-    can be plotted against each other directly.
+    can be plotted against each other directly: per zeta its exact, then its
+    analytic modes, each mode 1 then mode 2.  Every zeta is solved first, so
+    an error raises before any row exists.  The rows come as an iterator of
+    blocks, each as many whole (zeta, source) pairs as fit in _BLOCK_ROWS
+    rows, and at least one, built as render draws it: the payload renders once.
     """
     errors, _, exact, _ = _mode_scan(params.delta, zeta_list, propagation, n_grid)
     _raise_first(errors)
-    m = len(zeta_list)
-    analytic = _states(params.delta, zeta_list, tau_grid(n_grid), on_grid=True)
-    # per zeta its exact, then its analytic modes, each mode 1 then mode 2
-    weights = np.concatenate([np.abs(exact) ** 2, np.abs(analytic) ** 2], axis=1)
-    rows = {
-        "zeta": np.repeat(np.asarray(zeta_list, dtype=float), 4 * n_grid),
-        "mode": np.tile(np.repeat([1, 2], n_grid), 2 * m),
-        "source": np.tile(np.repeat(["exact", "analytic"], 2 * n_grid), m),
-        "tau": np.tile(tau_grid(n_grid), 4 * m),
-        "weight1": weights[..., 0].ravel(),
-        "weight2": weights[..., 1].ravel(),
-    }
-    return {"zetas": [float(z) for z in zeta_list], "rows": rows}
+    zetas, tau = np.asarray(zeta_list, dtype=float), tau_grid(n_grid)
+    pairs = 2 * zetas.size
+    per_block = max(1, _BLOCK_ROWS // (2 * n_grid))
+
+    def block(first: int) -> dict:
+        # pair 2k is the exact and pair 2k + 1 the analytic modes of zeta k
+        stop = min(first + per_block, pairs)
+        states = np.empty((stop - first, 2, n_grid, 2), dtype=complex)
+        states[first % 2 :: 2] = exact[(first + 1) // 2 : (stop + 1) // 2]
+        states[1 - first % 2 :: 2] = _states(params.delta, zeta_list[first // 2 : stop // 2], tau, on_grid=True)
+        weights = np.abs(states) ** 2
+        index = np.arange(first, stop)
+        return {
+            "zeta": np.repeat(zetas[index // 2], 2 * n_grid),
+            "mode": np.tile(np.repeat([1, 2], n_grid), stop - first),
+            "source": np.repeat(np.array(["exact", "analytic"])[index % 2], 2 * n_grid),
+            "tau": np.tile(tau, 2 * (stop - first)),
+            "weight1": weights[..., 0].ravel(),
+            "weight2": weights[..., 1].ravel(),
+        }
+
+    return {"zetas": [float(z) for z in zeta_list], "rows": map(block, range(0, pairs, per_block))}
 
 
 def _crossings(
@@ -200,23 +214,28 @@ def cmd_validate(params: SystemParams, propagation: PropagationConfig, n_grid: i
     return {"thresholds": dict(_THRESHOLDS), "checks": checks, "overall_pass": all(checks["pass"])}
 
 
-def _texts(columns: list, as_json: bool) -> list[list[str]]:
+def _texts(columns: list, as_json: bool, known: dict | None = None) -> list[list[str]]:
     """Cell text of each column: a 1-D array, or a list that may hold None.
 
-    The columns of one dtype kind are formatted together, each distinct value
-    once; floats with 17 significant digits.  Floats are told apart by their
-    bits, because np.unique takes -0.0 == 0.0 and the two print differently.
+    known maps the index of a column to its texts already made, and only the
+    other columns are formatted.  The columns of one dtype kind are formatted
+    together, each distinct value once; floats with 17 significant digits.
+    Floats are told apart by their bits, because np.unique takes -0.0 == 0.0
+    and the two print differently.
     """
-    arrays = [
-        np.array([v for v in c if v is not None]) if isinstance(c, list) else c for c in columns
-    ]
-    texts = [None] * len(arrays)
-    for kind in dict.fromkeys(a.dtype.kind for a in arrays):
-        group = [i for i, a in enumerate(arrays) if a.dtype.kind == kind]
+    known = known or {}
+    texts = [known.get(i) for i in range(len(columns))]
+    arrays = {
+        i: np.array([v for v in c if v is not None]) if isinstance(c, list) else c
+        for i, c in enumerate(columns)
+        if i not in known
+    }
+    # floats last, so that their texts, the most, are not held while the other kinds are sorted
+    for kind in sorted(dict.fromkeys(a.dtype.kind for a in arrays.values()), key="f".__eq__):
+        group = [i for i, a in arrays.items() if a.dtype.kind == kind]
         values = np.concatenate([arrays[i] for i in group])
-        keys = values.view(np.uint64) if kind == "f" else values
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        distinct = values[first].tolist()
+        keys, inverse = np.unique(values.view(np.uint64) if kind == "f" else values, return_inverse=True)
+        distinct = (keys.view(float) if kind == "f" else keys).tolist()
         if kind == "f":
             distinct = [format(v, ".17g") for v in distinct]
         elif kind != "U" or as_json:  # bools, integers, and strings in JSON
@@ -226,33 +245,67 @@ def _texts(columns: list, as_json: bool) -> list[list[str]]:
         for i, part in zip(group, np.split(cells, bounds)):
             texts[i] = part.tolist()
     null = "null" if as_json else ""
-    for i, column in enumerate(columns):
-        if isinstance(column, list):
+    for i in arrays:
+        if isinstance(columns[i], list):
             present = iter(texts[i])
-            texts[i] = [null if v is None else next(present) for v in column]
+            texts[i] = [null if v is None else next(present) for v in columns[i]]
     return texts
+
+
+def _same(a, b) -> bool:
+    """Whether two columns are arrays equal bit for bit, so that -0.0 differs from 0.0."""
+    if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.dtype == b.dtype):
+        return False
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64)) if a.dtype.kind == "f" else np.array_equal(a, b)
 
 
 def _is_table(value) -> bool:
     columns = value.values() if isinstance(value, dict) else ()
-    return any(isinstance(column, (list, np.ndarray)) for column in columns)
+    return isinstance(value, Iterator) or any(isinstance(column, (list, np.ndarray)) for column in columns)
 
 
-def _rows(texts: list[list[str]], seps: list[str], first: str, last: str) -> Iterator[str]:
-    """Text of a table's rows, _CHUNK_ROWS per chunk and none without rows: each cell
-    follows its column's separator, but the very first follows `first`; `last` ends it."""
-    width, n = len(texts), len(texts[0])
-    for start in range(0, n, _CHUNK_ROWS):
-        count = min(_CHUNK_ROWS, n - start)
-        pieces = [None] * (2 * width * count)
-        for j, (sep, cells) in enumerate(zip(seps, texts)):
-            pieces[2 * j :: 2 * width] = [sep] * count
-            pieces[2 * j + 1 :: 2 * width] = cells[start : start + count]
-        if start == 0:
-            pieces[0] = first
-        if start + count == n:
-            pieces.append(last)
-        yield "".join(pieces)
+def _chunk(texts: list[list[str]], seps: list[str], start: int, first: str | None) -> str:
+    """Text of the rows of a block from `start`, _CHUNK_ROWS at most: each cell follows its
+    column's separator, but a `first` given replaces the very first separator.  Its pieces
+    go when it returns, so the table's generator holds no cells of an earlier block."""
+    width, count = len(texts), min(_CHUNK_ROWS, len(texts[0]) - start)
+    pieces = [None] * (2 * width * count)
+    for j, (sep, cells) in enumerate(zip(seps, texts)):
+        pieces[2 * j :: 2 * width] = [sep] * count
+        pieces[2 * j + 1 :: 2 * width] = cells[start : start + count]
+    if first is not None:
+        pieces[0] = first
+    return "".join(pieces)
+
+
+def _rows(table, as_json: bool, lead: str) -> Iterator[str]:
+    """Text of a table after `lead`, _CHUNK_ROWS rows per chunk and no chunk without rows.
+
+    The table is one dict of columns or an iterator of dicts with the same
+    names, its blocks of consecutive rows, each formatted and written before
+    the next is drawn.  A column equal bit for bit to the same column of the
+    block before keeps that block's texts.  Returns the text still to follow:
+    what closes the table, or `lead` and an empty table when there are no rows.
+    """
+    written = 0
+    columns, texts = [], []
+    for block in [table] if isinstance(table, dict) else table:
+        known = {i: t for i, (c, p, t) in enumerate(zip(block.values(), columns, texts)) if _same(c, p)}
+        columns, texts = list(block.values()), None  # the other texts go before these are made
+        texts = _texts(columns, as_json, known)
+        if not written:  # the separators come from the names of the block with the first row
+            if as_json:
+                names = [json.dumps(name) for name in block]
+                seps = [f"\n    }},\n    {{\n      {names[0]}: "] + [f",\n      {name}: " for name in names[1:]]
+                first = f"{lead}[\n    {{\n      {names[0]}: "
+            else:
+                seps, first = ["\n"] + [","] * (len(columns) - 1), lead + ",".join(block) + "\n"
+        for start in range(0, len(texts[0]), _CHUNK_ROWS):
+            yield _chunk(texts, seps, start, first if not written and not start else None)
+        written += len(texts[0])
+    if as_json:
+        return "\n    }\n  ]" if written else lead + "[]"
+    return "\n" if written else lead
 
 
 def _to_json(payload: dict) -> Iterator[str]:
@@ -260,11 +313,7 @@ def _to_json(payload: dict) -> Iterator[str]:
     for i, (key, value) in enumerate(payload.items()):
         text += (",\n" if i else "{\n") + f"  {json.dumps(key)}: "
         if _is_table(value):
-            texts = _texts(list(value.values()), True)
-            names = [json.dumps(name) for name in value]
-            seps = [f"\n    }},\n    {{\n      {names[0]}: "] + [f",\n      {name}: " for name in names[1:]]
-            yield from _rows(texts, seps, f"{text}[\n    {{\n      {names[0]}: ", "\n    }\n  ]")
-            text = "" if texts[0] else text + "[]"
+            text = yield from _rows(value, True, text)
         elif isinstance(value, dict):
             cells = _texts([[v] for v in value.values()], True)
             fields = [f"    {json.dumps(sub)}: {cell}" for sub, (cell,) in zip(value, cells)]
@@ -290,26 +339,27 @@ def _to_csv(payload: dict) -> Iterator[str]:
             lines.append(f"# {key} = {_texts([[value]], False)[0][0]}")
     text = "".join(line + "\n" for line in lines)  # handed out with the first table row
     for table in tables:
-        texts = _texts(list(table.values()), False)
-        yield from _rows(texts, ["\n"] + [","] * (len(texts) - 1), text + ",".join(table) + "\n", "\n")
-        text = "" if texts[0] else text
+        text = yield from _rows(table, False, text)
     yield text
 
 
 def render(payload: dict, output_format: str, out: TextIO) -> None:
     """Serialize a command payload to the text stream out as CSV or JSON.
 
-    A payload maps names to scalars, flat dicts, flat lists and tables: dicts
-    of equal-length columns, each a 1-D array or a list that may hold None.
-    CSV puts the table after `#` header lines; JSON writes it as row objects.
-    Each chunk of _CHUNK_ROWS rows is written as soon as it is built, so the
-    document is never whole.
+    A payload maps names to scalars, flat dicts, flat lists and tables.  A
+    table is a dict of equal-length columns, each a 1-D array or a list that
+    may hold None, or an iterator of such dicts with the same names: the
+    blocks of consecutive rows of one table, each formatted and written
+    before the next is drawn.  CSV puts the table after `#` header lines;
+    JSON writes it as row objects.  Each chunk of _CHUNK_ROWS rows is written
+    as soon as it is built, so the document is never whole.
     """
     if output_format not in _FORMATS:
         raise DomainError(f"output format must be one of {_FORMATS}")
     chunks = _to_json(payload) if output_format == "json" else _to_csv(payload)
     for chunk in chunks:
         out.write(chunk)
+        del chunk  # not held while the next one is built
 
 
 def _at_least(kind, low):

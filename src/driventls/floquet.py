@@ -206,13 +206,18 @@ def _mode_scan(delta: float, zetas, config: PropagationConfig, n_grid: int) -> t
     if not len(zetas):
         raise DomainError("zeta list must be non-empty")
     grids, _, refusals = grid_propagators(delta, np.asarray(zetas, float) / 2.0, config, n_grid)
-    grids = grids[[refusal is None for refusal in refusals]]
+    # the stacks are indexed, which copies them, only when some zeta drops out
+    if any(refusals):
+        grids = grids[[refusal is None for refusal in refusals]]
     eps, classified, samples = _modes(grids)
-    solved = [error is None for error in classified]
+    monodromies = grids[:, -1].copy()  # a copy does not keep the whole grids alive
+    if any(classified):
+        solved = [error is None for error in classified]
+        eps, samples, monodromies = eps[solved], samples[solved], monodromies[solved]
     # a propagated zeta's error is its ClassificationError, if any
     propagated = iter(classified)
     errors = [refusal or next(propagated) for refusal in refusals]
-    return errors, eps[solved], samples[solved], grids[solved, -1]
+    return errors, eps, samples, monodromies
 
 
 def exact_quasienergy_scan(delta: float, zetas, config: PropagationConfig | None = None) -> np.ndarray:

@@ -827,21 +827,55 @@ def test_full_stdout_exits_3_in_a_fresh_process():
     assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
-def test_streamed_table_never_holds_the_document():
+def _weights_payload(zetas):
     params = driventls.SystemParams(delta=0.02, rabi=0.3, dipole=1.0)
     propagation = driventls.PropagationConfig(steps_per_period=4096)
-    payload = driventls.cli.cmd_weights(params, propagation, 4096, [0.6, 3.1])
-    columns = list(payload["rows"].values())
+    return driventls.cli.cmd_weights(params, propagation, 4096, zetas)
+
+
+def _render_peak(payload, fmt):
+    """tracemalloc peak of rendering a payload to a sink that keeps nothing."""
+    tracemalloc.start()
+    try:
+        render(payload, fmt, _Sink(keep=False))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_table_never_holds_the_document():
+    # grid 4096 comes in blocks of one (zeta, source) pair: 8192 rows, 8 chunks.  The
+    # bound is the peak of building the first block and formatting it alone, plus 3 chunks
     for fmt in ("csv", "json"):
-        chunk = max(map(len, driventls.cli._to_json(payload) if fmt == "json" else driventls.cli._to_csv(payload)))
+        to_text = driventls.cli._to_json if fmt == "json" else driventls.cli._to_csv
+        chunk = max(map(len, to_text(_weights_payload([0.6, 3.1]))))
+        rows = _weights_payload([0.6, 3.1])["rows"]
         tracemalloc.start()
         try:
-            driventls.cli._texts(columns, fmt == "json")
-            texts_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            render(payload, fmt, _Sink(keep=False))
-            peak = tracemalloc.get_traced_memory()[1]
+            driventls.cli._texts(list(next(rows).values()), fmt == "json")
+            block_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the 32768 rows are 32 chunks, so one whole copy of the document would add ~30
-        assert peak < texts_peak + 3 * chunk, fmt
+        peak = _render_peak(_weights_payload([0.6, 3.1]), fmt)
+        # the 32768 rows are 4 blocks and 32 chunks, so one whole copy of the document would add ~30
+        assert peak < block_peak + 3 * chunk, fmt
+
+
+def test_render_peak_does_not_grow_with_the_zetas():
+    # the rows of 8 zetas are 4 times those of 2, and render holds one block of them at a time
+    zetas = [0.6, 3.1, 2.2, 0.9, 5.5, 1.7, 4.4, 0.3]
+    for fmt in ("csv", "json"):
+        assert _render_peak(_weights_payload(zetas), fmt) <= 1.25 * _render_peak(_weights_payload(zetas[:2]), fmt), fmt
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "sizes",
+    [[], [0], [0, 0], [1], [0, 1, 0, 2], [1] * 8, [4, 4, 4], [_CHUNK, _CHUNK], [_CHUNK + 1, 3, 2 * _CHUNK - 1]],
+)
+def test_table_in_blocks_renders_as_the_whole_table(fmt, sizes):
+    # [1] * 8 has 0.0 and -0.0 in the same column of consecutive blocks; [4, 4, 4] has equal blocks
+    payload = _contract_rows(sum(sizes))
+    bounds = np.cumsum([0, *sizes]).tolist()
+    blocks = [{k: c[a:b] for k, c in payload["rows"].items()} for a, b in zip(bounds, bounds[1:])]
+    assert _render({**payload, "rows": iter(blocks)}, fmt) == _render(payload, fmt)
