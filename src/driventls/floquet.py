@@ -206,18 +206,13 @@ def _mode_scan(delta: float, zetas, config: PropagationConfig, n_grid: int) -> t
     if not len(zetas):
         raise DomainError("zeta list must be non-empty")
     grids, _, refusals = grid_propagators(delta, np.asarray(zetas, float) / 2.0, config, n_grid)
-    # the stacks are indexed, which copies them, only when some zeta drops out
-    if any(refusals):
-        grids = grids[[refusal is None for refusal in refusals]]
+    grids = grids[[refusal is None for refusal in refusals]]
     eps, classified, samples = _modes(grids)
-    monodromies = grids[:, -1].copy()  # a copy does not keep the whole grids alive
-    if any(classified):
-        solved = [error is None for error in classified]
-        eps, samples, monodromies = eps[solved], samples[solved], monodromies[solved]
+    solved = [error is None for error in classified]
     # a propagated zeta's error is its ClassificationError, if any
     propagated = iter(classified)
     errors = [refusal or next(propagated) for refusal in refusals]
-    return errors, eps, samples, monodromies
+    return errors, eps[solved], samples[solved], grids[solved, -1]
 
 
 def exact_quasienergy_scan(delta: float, zetas, config: PropagationConfig | None = None) -> np.ndarray:
