@@ -262,33 +262,27 @@ def _same(a, b) -> bool:
     return np.array_equal(a.view(np.uint64), b.view(np.uint64)) if a.dtype.kind == "f" else np.array_equal(a, b)
 
 
-def _is_table(value) -> bool:
-    columns = value.values() if isinstance(value, dict) else ()
-    return isinstance(value, Iterator) or any(isinstance(column, (list, np.ndarray)) for column in columns)
-
-
-def _chunk(texts: list[list[str]], seps: list[str], start: int, first: str | None) -> str:
-    """Text of the rows of a block from `start`, _CHUNK_ROWS at most: each cell follows its
-    column's separator, but a `first` given replaces the very first separator.  Its pieces
-    go when it returns, so the table's generator holds no cells of an earlier block."""
+def _chunk(texts: list[list[str]], seps: list[str], start: int) -> str:
+    """Text of the rows of a block from `start`, _CHUNK_ROWS at most, each cell after its
+    column's separator.  Its pieces go when it returns, so the table's writer holds no
+    cells of an earlier block."""
     width, count = len(texts), min(_CHUNK_ROWS, len(texts[0]) - start)
     pieces = [None] * (2 * width * count)
     for j, (sep, cells) in enumerate(zip(seps, texts)):
         pieces[2 * j :: 2 * width] = [sep] * count
         pieces[2 * j + 1 :: 2 * width] = cells[start : start + count]
-    if first is not None:
-        pieces[0] = first
     return "".join(pieces)
 
 
-def _rows(table, as_json: bool, lead: str) -> Iterator[str]:
-    """Text of a table after `lead`, _CHUNK_ROWS rows per chunk and no chunk without rows.
+def _write_table(table, as_json: bool, out: TextIO) -> None:
+    """Write a table to out: its opening just before the first row, then _CHUNK_ROWS rows
+    per write, then its closing, or an empty JSON table when there are no rows.
 
-    The table is one dict of columns or an iterator of dicts with the same
-    names, its blocks of consecutive rows, each formatted and written before
-    the next is drawn.  A column equal bit for bit to the same column of the
-    block before keeps that block's texts.  Returns the text still to follow:
-    what closes the table, or `lead` and an empty table when there are no rows.
+    The table is one dict of equal-length columns, each a 1-D array or a list
+    that may hold None, or an iterator of such dicts with the same names: its
+    blocks of consecutive rows, each formatted and written before the next is
+    drawn.  A column equal bit for bit to the same column of the block before
+    keeps that block's texts.
     """
     written = 0
     columns, texts = [], []
@@ -296,72 +290,58 @@ def _rows(table, as_json: bool, lead: str) -> Iterator[str]:
         known = {i: t for i, (c, p, t) in enumerate(zip(block.values(), columns, texts)) if _same(c, p)}
         columns, texts = list(block.values()), None  # the other texts go before these are made
         texts = _texts(columns, as_json, known)
-        if not written:  # the separators come from the names of the block with the first row
-            if as_json:
-                names = [json.dumps(name) for name in block]
-                seps = [f"\n    }},\n    {{\n      {names[0]}: "] + [f",\n      {name}: " for name in names[1:]]
-                first = f"{lead}[\n    {{\n      {names[0]}: "
-            else:
-                seps, first = ["\n"] + [","] * (len(columns) - 1), lead + ",".join(block) + "\n"
+        if as_json:
+            names = [json.dumps(name) for name in block]
+            seps = [f"\n    }},\n    {{\n      {names[0]}: "] + [f",\n      {name}: " for name in names[1:]]
+            opening = f"[\n    {{\n      {names[0]}: "
+        else:
+            seps, opening = ["\n"] + [","] * (len(columns) - 1), ",".join(block) + "\n"
         for start in range(0, len(texts[0]), _CHUNK_ROWS):
-            yield _chunk(texts, seps, start, first if not written and not start else None)
+            text = _chunk(texts, seps, start)
+            # the table's first row follows its opening, not a row
+            out.write(text if written or start else opening + text[len(seps[0]) :])
         written += len(texts[0])
     if as_json:
-        return "\n    }\n  ]" if written else lead + "[]"
-    return "\n" if written else lead
-
-
-def _to_json(payload: dict) -> Iterator[str]:
-    text = ""  # not yet handed out: it leads the next table chunk, or ends the document
-    for i, (key, value) in enumerate(payload.items()):
-        text += (",\n" if i else "{\n") + f"  {json.dumps(key)}: "
-        if _is_table(value):
-            text = yield from _rows(value, True, text)
-        elif isinstance(value, dict):
-            cells = _texts([[v] for v in value.values()], True)
-            fields = [f"    {json.dumps(sub)}: {cell}" for sub, (cell,) in zip(value, cells)]
-            text += "{\n" + ",\n".join(fields) + "\n  }" if fields else "{}"
-        elif isinstance(value, list):
-            text += "[" + ", ".join(_texts([value], True)[0]) + "]"
-        else:
-            text += _texts([[value]], True)[0][0]
-    yield text + "\n}\n"
-
-
-def _to_csv(payload: dict) -> Iterator[str]:
-    lines, tables = [], []
-    for key, value in payload.items():
-        if _is_table(value):
-            tables.append(value)
-        elif isinstance(value, dict):
-            cells = _texts([[v] for v in value.values()], False)
-            lines += [f"# {key}.{sub} = {cell}" for sub, (cell,) in zip(value, cells)]
-        elif isinstance(value, list):
-            lines.append(f"# {key} = [{', '.join(_texts([value], False)[0])}]")
-        else:
-            lines.append(f"# {key} = {_texts([[value]], False)[0][0]}")
-    text = "".join(line + "\n" for line in lines)  # handed out with the first table row
-    for table in tables:
-        text = yield from _rows(table, False, text)
-    yield text
+        out.write("\n    }\n  ]" if written else "[]")
+    elif written:
+        out.write("\n")
 
 
 def render(payload: dict, output_format: str, out: TextIO) -> None:
     """Serialize a command payload to the text stream out as CSV or JSON.
 
-    A payload maps names to scalars, flat dicts, flat lists and tables.  A
-    table is a dict of equal-length columns, each a 1-D array or a list that
-    may hold None, or an iterator of such dicts with the same names: the
-    blocks of consecutive rows of one table, each formatted and written
-    before the next is drawn.  CSV puts the table after `#` header lines;
-    JSON writes it as row objects.  Each chunk of _CHUNK_ROWS rows is written
-    as soon as it is built, so the document is never whole.
+    A payload maps names to scalars, flat dicts, flat lists and tables, as
+    _write_table takes them.  CSV puts the tables after `#` header lines;
+    JSON writes each as row objects.  Every piece is written as soon as it
+    is made, so the document is never whole.
     """
     if output_format not in _FORMATS:
         raise DomainError(f"output format must be one of {_FORMATS}")
-    chunks = _to_json(payload) if output_format == "json" else _to_csv(payload)
-    for chunk in chunks:
-        out.write(chunk)
+    as_json, tables = output_format == "json", []
+    for i, (key, value) in enumerate(payload.items()):
+        if as_json:
+            out.write((",\n" if i else "{\n") + f"  {json.dumps(key)}: ")
+        columns = value.values() if isinstance(value, dict) else ()
+        if isinstance(value, Iterator) or any(isinstance(column, (list, np.ndarray)) for column in columns):
+            if as_json:
+                _write_table(value, True, out)
+            else:
+                tables.append(value)
+        elif isinstance(value, dict):
+            cells = [cell for (cell,) in _texts([[v] for v in value.values()], as_json)]
+            if as_json:
+                fields = ",\n".join(f"    {json.dumps(sub)}: {cell}" for sub, cell in zip(value, cells))
+                out.write("{\n" + fields + "\n  }" if fields else "{}")
+            else:
+                out.write("".join(f"# {key}.{sub} = {cell}\n" for sub, cell in zip(value, cells)))
+        else:
+            cells = _texts([value if isinstance(value, list) else [value]], as_json)[0]
+            text = f"[{', '.join(cells)}]" if isinstance(value, list) else cells[0]
+            out.write(text if as_json else f"# {key} = {text}\n")
+    if as_json:
+        out.write("\n}\n")
+    for table in tables:
+        _write_table(table, False, out)
 
 
 def _at_least(kind, low):

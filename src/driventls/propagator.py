@@ -167,8 +167,11 @@ def _checked(delta: float, rabis, tau0: float, span: float, n_steps: int, n_out:
         fine = _evolve(delta, rabis, tau0, span, n_steps, n_out)
         coarse = _evolve(delta, rabis, tau0, span, n_steps // 2, n_out // stride)
         estimates = np.max(np.abs(fine[:, ::stride] - coarse), axis=(1, 2)) / 15.0
-    where = f"with {n_steps} steps over a span of {span:.6g}"
-    return fine, estimates, [_refusal(e, where) for e in estimates]
+    refusals = [
+        _refusal(estimate, f"at zeta = {2.0 * rabi:.17g} with {n_steps} steps over a span of {span:.6g}")
+        for rabi, estimate in zip(rabis.tolist(), estimates.tolist())
+    ]
+    return fine, estimates, refusals
 
 
 def _refusal(estimate: float, where: str) -> AccuracyError | None:

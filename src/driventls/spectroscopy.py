@@ -71,8 +71,9 @@ def _closed_form(delta: float, mu2: float, rows: np.ndarray, k: np.ndarray, forb
 
 @functools.lru_cache(maxsize=4)
 def _phases(n: int, k_max: int) -> np.ndarray:
-    """e^{i k tau} at tau_grid(n) for k = -k_max..k_max, read-only: every spectrum on this
-    grid and with this k_max, such as the stacked lines of one validate, reads the same table."""
+    """e^{i k tau} at tau_grid(n) for k = -k_max..k_max, read-only.  One validate makes one
+    _line_stack call, so the cache serves repeated calls with this grid and k_max in one
+    process: library use, or the benchmark's in-process loop."""
     return _frozen(np.exp(1j * np.multiply.outer(tau_grid(n), np.arange(-k_max, k_max + 1))))
 
 

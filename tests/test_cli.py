@@ -387,7 +387,7 @@ def test_weights_raise_the_first_failing_zeta(capsys):
     code, out, err = _run(capsys, argv)
     assert (code, out) == (3, "")
     assert err == (
-        "error: step-halving error estimate 1.500e-05 exceeds 1e-07 with 64 steps "
+        "error: step-halving error estimate 1.500e-05 exceeds 1e-07 at zeta = 40 with 64 steps "
         "over a span of 6.28319; increase steps_per_period\n"
     )
 
@@ -737,7 +737,7 @@ def test_render_rejects_unknown_format():
 
 
 class _Sink:
-    """stdout stand-in that keeps each chunk written to it, or discards them."""
+    """stdout stand-in that keeps each text written to it, or discards them."""
 
     def __init__(self, keep=True, fail_at=None):
         self.chunks, self.writes, self.keep, self.fail_at = [], 0, keep, fail_at
@@ -788,7 +788,9 @@ def test_row_chunks_are_invisible(fmt, n):
     text = "".join(sink.chunks)
     # compared as line lists, whose failure report is short where two long strings' is slow
     assert text.split("\n") == _cycled_text(fmt, n).split("\n")
-    assert len(sink.chunks) >= math.ceil(n / _CHUNK)
+    # one write per chunk of rows and at most 3 per payload key, never one per row or cell
+    assert "" not in sink.chunks
+    assert math.ceil(n / _CHUNK) <= len(sink.chunks) <= 3 * len(payload) + math.ceil(n / _CHUNK)
     if fmt == "json":
         rows = json.loads(text)["rows"]
         assert len(rows) == n and all(row['50% "odd"'] == [0.25, -1.5, 2.0, 1e10][i % 4] for i, row in enumerate(rows))
@@ -807,10 +809,18 @@ def test_out_file_equals_stdout_for_a_multi_chunk_table(tmp_path, capsys, fmt):
 
 
 def test_stdout_failing_mid_table_exits_3_naming_stdout(capsys):
-    sink = _Sink(fail_at=2)
+    argv = ["weights", "--zetas", "0.6", "--grid", "1024"]
+    dry = _Sink()
+    with contextlib.redirect_stdout(dry):
+        assert main(argv) == 0
+    # the header is several writes and the 4096 rows are 4 chunks; the write after the
+    # first row chunk is the second one, so failing it fails mid-table
+    first = next(i for i, text in enumerate(dry.chunks) if text.count("\n") >= _CHUNK - 1)
+    assert dry.chunks[first + 1].count("\n") == _CHUNK
+    sink = _Sink(fail_at=first + 2)
     with contextlib.redirect_stdout(sink):
-        code = main(["weights", "--zetas", "0.6", "--grid", "1024"])
-    assert code == 3 and sink.writes == 2 and len(sink.chunks) == 1
+        code = main(argv)
+    assert code == 3 and sink.writes == first + 2 and sink.chunks == dry.chunks[: first + 1]
     assert capsys.readouterr().err == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
@@ -847,8 +857,9 @@ def test_streamed_table_never_holds_the_document():
     # grid 4096 comes in blocks of one (zeta, source) pair: 8192 rows, 8 chunks.  The
     # bound is the peak of building the first block and formatting it alone, plus 3 chunks
     for fmt in ("csv", "json"):
-        to_text = driventls.cli._to_json if fmt == "json" else driventls.cli._to_csv
-        chunk = max(map(len, to_text(_weights_payload([0.6, 3.1]))))
+        sink = _Sink()
+        render(_weights_payload([0.6, 3.1]), fmt, sink)
+        chunk = max(map(len, sink.chunks))
         rows = _weights_payload([0.6, 3.1])["rows"]
         tracemalloc.start()
         try:
