@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import sys
+from itertools import repeat
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -61,20 +62,23 @@ def cmd_weights(params: SystemParams, propagation: PropagationConfig, n_grid: in
     zetas, tau = np.asarray(zeta_list, dtype=float), tau_grid(n_grid)
     pairs = 2 * zetas.size
     per_block = max(1, _BLOCK_ROWS // (2 * n_grid))
+    # every full block gets these same arrays, which render then knows by identity
+    modes, taus = np.tile(np.repeat([1, 2], n_grid), per_block), np.tile(tau, 2 * per_block)
 
     def block(first: int) -> dict:
         # pair 2k is the exact and pair 2k + 1 the analytic modes of zeta k
         stop = min(first + per_block, pairs)
         states = np.empty((stop - first, 2, n_grid, 2), dtype=complex)
         states[first % 2 :: 2] = exact[(first + 1) // 2 : (stop + 1) // 2]
-        states[1 - first % 2 :: 2] = _states(params.delta, zeta_list[first // 2 : stop // 2], tau, on_grid=True)
+        if analytic := zeta_list[first // 2 : stop // 2]:
+            states[1 - first % 2 :: 2] = _states(params.delta, analytic, tau, on_grid=True)
         weights = np.abs(states) ** 2
-        index = np.arange(first, stop)
+        index, rows = np.arange(first, stop), weights[..., 0].size
         return {
             "zeta": np.repeat(zetas[index // 2], 2 * n_grid),
-            "mode": np.tile(np.repeat([1, 2], n_grid), stop - first),
+            "mode": modes if rows == modes.size else modes[:rows],
             "source": np.repeat(np.array(["exact", "analytic"])[index % 2], 2 * n_grid),
-            "tau": np.tile(tau, 2 * (stop - first)),
+            "tau": taus if rows == taus.size else taus[:rows],
             "weight1": weights[..., 0].ravel(),
             "weight2": weights[..., 1].ravel(),
         }
@@ -240,13 +244,13 @@ def _texts(columns: list, as_json: bool, known: dict | None = None) -> list[list
         keys, inverse = np.unique(values.view(np.uint64) if kind == "f" else values, return_inverse=True)
         distinct = (keys.view(float) if kind == "f" else keys).tolist()
         if kind == "f":
-            distinct = [format(v, ".17g") for v in distinct]
+            distinct = list(map(float.__format__, distinct, repeat(".17g")))
         elif kind != "U" or as_json:  # bools, integers, and strings in JSON
             distinct = list(map(json.dumps, distinct))
-        cells = np.array(distinct, dtype=object)[inverse]
-        bounds = np.cumsum([arrays[i].size for i in group])[:-1]
-        for i, part in zip(group, np.split(cells, bounds)):
-            texts[i] = part.tolist()
+        cells = np.array(distinct, dtype=object)[inverse].tolist()
+        bounds = np.cumsum([0] + [arrays[i].size for i in group]).tolist()
+        for i, start, stop in zip(group, bounds, bounds[1:]):
+            texts[i] = cells[start:stop]
     null = "null" if as_json else ""
     for i in arrays:
         if isinstance(columns[i], list):
@@ -259,18 +263,28 @@ def _same(a, b) -> bool:
     """Whether two columns are arrays equal bit for bit, so that -0.0 differs from 0.0."""
     if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.dtype == b.dtype):
         return False
+    if a is b:  # weights hands its full blocks the same mode and tau arrays
+        return True
     return np.array_equal(a.view(np.uint64), b.view(np.uint64)) if a.dtype.kind == "f" else np.array_equal(a, b)
 
 
-def _chunk(texts: list[list[str]], seps: list[str], start: int) -> str:
-    """Text of the rows of a block from `start`, _CHUNK_ROWS at most, each cell after its
-    column's separator.  Its pieces go when it returns, so the table's writer holds no
+def _one_valued(column) -> bool:
+    """Whether a column is an array whose cells all hold one value, floats bit for bit."""
+    if not (isinstance(column, np.ndarray) and column.size):
+        return False
+    values = column.view(np.uint64) if column.dtype.kind == "f" else column
+    return bool((values == values[0]).all())
+
+
+def _chunk(texts: list[list[str]], seps: list[str], tail: str, start: int, count: int) -> str:
+    """Text of count rows of a block from `start`, each cell after its column's separator and
+    each row ending in tail.  Its pieces go when it returns, so the table's writer holds no
     cells of an earlier block."""
-    width, count = len(texts), min(_CHUNK_ROWS, len(texts[0]) - start)
-    pieces = [None] * (2 * width * count)
+    width = 2 * len(texts) + bool(tail)
+    pieces = [tail] * (width * count)
     for j, (sep, cells) in enumerate(zip(seps, texts)):
-        pieces[2 * j :: 2 * width] = [sep] * count
-        pieces[2 * j + 1 :: 2 * width] = cells[start : start + count]
+        pieces[2 * j :: width] = [sep] * count
+        pieces[2 * j + 1 :: width] = cells[start : start + count]
     return "".join(pieces)
 
 
@@ -282,25 +296,38 @@ def _write_table(table, as_json: bool, out: TextIO) -> None:
     that may hold None, or an iterator of such dicts with the same names: its
     blocks of consecutive rows, each formatted and written before the next is
     drawn.  A column equal bit for bit to the same column of the block before
-    keeps that block's texts.
+    keeps that block's texts.  A column of one value in a block is formatted
+    once and written as part of the separator before the next column.
     """
     written = 0
     columns, texts = [], []
     for block in [table] if isinstance(table, dict) else table:
         known = {i: t for i, (c, p, t) in enumerate(zip(block.values(), columns, texts)) if _same(c, p)}
         columns, texts = list(block.values()), None  # the other texts go before these are made
-        texts = _texts(columns, as_json, known)
+        one = [i not in known and _one_valued(c) for i, c in enumerate(columns)]
+        texts = _texts([c[:1] if single else c for c, single in zip(columns, one)], as_json, known)
+        texts = [t[0] if single else t for t, single in zip(texts, one)]
         if as_json:
             names = [json.dumps(name) for name in block]
             seps = [f"\n    }},\n    {{\n      {names[0]}: "] + [f",\n      {name}: " for name in names[1:]]
             opening = f"[\n    {{\n      {names[0]}: "
         else:
             seps, opening = ["\n"] + [","] * (len(columns) - 1), ",".join(block) + "\n"
-        for start in range(0, len(texts[0]), _CHUNK_ROWS):
-            text = _chunk(texts, seps, start)
+        # each one-valued text joins the separator before it and the one after it
+        cells, leads, tail = [], [], ""
+        for sep, t in zip(seps, texts):
+            if isinstance(t, str):
+                tail += sep + t
+            else:
+                cells.append(t)
+                leads.append(tail + sep)
+                tail = ""
+        rows = len(columns[0])
+        for start in range(0, rows, _CHUNK_ROWS):
+            text = _chunk(cells, leads, tail, start, min(_CHUNK_ROWS, rows - start))
             # the table's first row follows its opening, not a row
             out.write(text if written or start else opening + text[len(seps[0]) :])
-        written += len(texts[0])
+        written += rows
     if as_json:
         out.write("\n    }\n  ]" if written else "[]")
     elif written:
@@ -339,7 +366,7 @@ def render(payload: dict, output_format: str, out: TextIO) -> None:
             text = f"[{', '.join(cells)}]" if isinstance(value, list) else cells[0]
             out.write(text if as_json else f"# {key} = {text}\n")
     if as_json:
-        out.write("\n}\n")
+        out.write("\n}\n" if payload else "{}\n")
     for table in tables:
         _write_table(table, False, out)
 

@@ -162,11 +162,13 @@ def _check_grid(n_grid, config: PropagationConfig) -> None:
 def _modes(grids: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
     """_split of the U(pi, 0) of each propagated grid (m, n + 1, 2, 2), with the samples of both
     modes of every grid, (m, 2, n, 2), from one stacked expression in place of the vectors."""
-    n = grids.shape[1] - 1
+    m, n = grids.shape[0], grids.shape[1] - 1
     eps, errors, vectors = _split(grids[:, n // 2])
-    # mode i at tau_k is e^{i eps_i tau_k} U(tau_k, 0) v_i
+    # mode i at tau_k is e^{i eps_i tau_k} U(tau_k, 0) v_i: one (2n, 2) by 2 product per grid
+    # and mode, not one 2x2 product per sample
     phases = np.exp((1j * eps)[..., None] * tau_grid(n))[..., None]
-    return eps, errors, phases * (grids[:, None, :n] @ vectors[:, :, None, :, None])[..., 0]
+    samples = grids[:, :n].reshape(m, 1, 2 * n, 2) @ vectors[..., None]
+    return eps, errors, phases * samples.reshape(m, 2, n, 2)
 
 
 def build_modes(

@@ -890,3 +890,69 @@ def test_table_in_blocks_renders_as_the_whole_table(fmt, sizes):
     bounds = np.cumsum([0, *sizes]).tolist()
     blocks = [{k: c[a:b] for k, c in payload["rows"].items()} for a, b in zip(bounds, bounds[1:])]
     assert _render({**payload, "rows": iter(blocks)}, fmt) == _render(payload, fmt)
+
+
+def test_empty_payload_renders_valid_json():
+    assert json.loads(_render({}, "json")) == {}
+    assert _render({}, "csv") == ""
+
+
+def _cell_reference(value, as_json):
+    """One cell's text, formatted alone: floats with 17 significant digits, the rest as JSON
+    values, and strings raw in CSV."""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return value if isinstance(value, str) and not as_json else json.dumps(value)
+
+
+def _table_reference(blocks, fmt):
+    """The document render must write for {"rows": iter(blocks)}, built one cell at a time."""
+    names = list(blocks[0])
+    rows = [[_cell_reference(c[r].item(), fmt == "json") for c in b.values()] for b in blocks for r in range(len(b[names[0]]))]
+    if fmt == "csv":
+        return "".join(",".join(line) + "\n" for line in [names, *rows])
+    objects = [",\n".join(f"      {json.dumps(n)}: {cell}" for n, cell in zip(names, row)) for row in rows]
+    return '{\n  "rows": [\n' + ",\n".join("    {\n" + o + "\n    }" for o in objects) + "\n  ]\n}\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_one_valued_columns_render_as_each_cell_alone(fmt):
+    # per block, columns of one value stand first, in the middle and last; "signed" mixes
+    # 0.0 and -0.0, which are two values.  The third block is one-valued in every column,
+    # the fourth is one row, and the first and second share their one-valued columns
+    n = _CHUNK + 5
+    spread = np.linspace(-1.0, 1.0, n)
+
+    def block(rows, x, k, ok, label, last):
+        signed = np.where(np.arange(rows) % 3 == 0, -0.0, 0.0)
+        return {
+            "x": np.full(rows, x),
+            "k": np.full(rows, k),
+            "t": spread[:rows],
+            "ok": np.full(rows, ok),
+            "signed": signed,
+            "label": np.full(rows, label),
+            "w": np.exp(spread[:rows]),
+            "last": np.full(rows, last),
+        }
+
+    blocks = [
+        block(n, 0.1, 1, True, "exact", -0.0),
+        block(n, 0.1, 2, False, "exact", 1e-300),
+        {name: np.full(3, column[0]) for name, column in block(3, 3.1, -4, True, 'say "hi"', 0.0).items()},
+        block(1, 5e-324, 7, False, "back\\slash", 2.5),
+    ]
+    expected = _table_reference(blocks, fmt)
+    assert _render({"rows": iter(blocks)}, fmt).split("\n") == expected.split("\n")
+    # the same rows in one block, where no column is one-valued
+    whole = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
+    assert _render({"rows": whole}, fmt) == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_weights_in_one_block_print_the_bytes_of_one_pair_blocks(monkeypatch, capsys, fmt):
+    # at grid 4096 each block is one (zeta, source) pair, whose zeta and source are one-valued
+    argv = ["weights", "--zetas", "0.6", "3.1", "--grid", "4096", "--format", fmt]
+    code, pairs, _ = _run(capsys, argv)
+    monkeypatch.setattr(driventls.cli, "_BLOCK_ROWS", 2 * 2 * 2 * 4096)
+    assert code == 0 and _run(capsys, argv) == (0, pairs, "")
