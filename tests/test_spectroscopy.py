@@ -56,18 +56,23 @@ def _intensities(lines):
 
 def test_stacked_lines_are_the_per_line_sums():
     # the stacked lines of four drive strengths equal, bit for bit, each line's
-    # matrix element through sigma_x and its period average by one row product,
-    # and the closed form of each drive strength alone
+    # matrix element through sigma_x and the inverse FFT of that zeta's own (i, j)
+    # row, since stacking moves no bit, and the closed form of each drive strength
+    # alone; each period average also matches the explicit phase sum
+    # f @ e^{i k tau} / n, which shares no code with the FFT, within 1e-15 max|f|
     zetas = [0.6, 2.404825557695773, 9.93, 40.0]
     solutions = [build_modes(_params(0.02, zeta), n_grid=128) for zeta in zetas]
     samples = np.array([[mode.samples for mode in solution.modes] for solution in solutions])
     (i, j, k, _), numeric, closed = _line_stack(0.02, 2.25, zetas, samples, 9)
-    phases = np.exp(1j * np.multiply.outer(tau_grid(128), np.arange(-9, 10)))
+    ks = np.arange(-9, 10)
+    phases = np.exp(1j * np.multiply.outer(tau_grid(128), ks))
     for zeta, solution, lines, closed_form in zip(zetas, solutions, numeric, closed):
         modes = {mode.label: mode.samples for mode in solution.modes}
         for (a, b), block in zip([(1, 1), (1, 2), (2, 1), (2, 2)], lines.reshape(4, -1)):
             f = np.sum(np.conj(modes[a]) * (modes[b] @ SIGMA_X), axis=1)
-            assert np.array_equal(block, 2.25 * np.abs(f @ phases / 128) ** 2)
+            average = np.fft.ifft(f)[ks % 128]
+            assert np.array_equal(block, 2.25 * np.abs(average) ** 2)
+            assert np.max(np.abs(average - f @ phases / 128)) <= 1e-15 * np.max(np.abs(f))
         assert np.array_equal(closed_form, line_intensity_analytic(_params(0.02, zeta, 1.5), i, j, k))
 
 
@@ -338,6 +343,20 @@ def test_spectrum_validation():
     spectrum(p, modes, 31)
     with pytest.raises(DomainError):
         spectrum(p, modes, 32)
+
+
+def test_spectrum_takes_modes_1_and_2_in_either_order():
+    # any other pair would pass one mode's lines off as the other's
+    p = _params(0.1, 1.0)
+    m1, m2 = _modes(p, 64)
+    assert _intensities(spectrum(p, (m2, m1), 3)) == _intensities(spectrum(p, (m1, m2), 3))
+    third = FloquetMode(3, m2.quasienergy, m2.samples)
+    with pytest.raises(DomainError, match=r"labelled 1 and 2, got \[1, 1\]"):
+        spectrum(p, (m1, m1), 3)
+    with pytest.raises(DomainError, match=r"labelled 1 and 2, got \[1, 3\]"):
+        spectrum(p, (m1, third), 3)
+    with pytest.raises(DomainError, match=r"labelled 1 and 2, got \[3, 2\]"):
+        spectrum(p, (third, m2), 3)
 
 
 @pytest.mark.parametrize("delta", [0.02, 0.5])
