@@ -94,9 +94,9 @@ def eta(params: SystemParams, tau):
     return _unwrap(_eta_from_row(params.delta, row, bessel_j(0, params.zeta), t))
 
 
-def _quasienergies(delta: float, zetas) -> np.ndarray:
-    """-(delta/2) J_0(zeta) and +(delta/2) J_0(zeta), folded, at every zeta, (m, 2): one J_0 each."""
-    halves = 0.5 * delta * np.array([bessel_j(0, zeta) for zeta in zetas]).reshape(-1, 1)
+def _quasienergies(delta: float, j0s) -> np.ndarray:
+    """-(delta/2) J_0(zeta) and +(delta/2) J_0(zeta), folded, for each J_0(zeta) in j0s, (m, 2)."""
+    halves = 0.5 * delta * np.array(j0s, dtype=float).reshape(-1, 1)
     return fold_quasienergy(np.hstack((-halves, halves)))
 
 
@@ -106,7 +106,7 @@ def analytic_quasienergies(params: SystemParams) -> QuasienergyPair:
     Mode 1 is the one connected to the ground state at zero drive.  Both
     values are folded into (-1/2, 1/2].
     """
-    return QuasienergyPair(*_quasienergies(params.delta, [params.zeta])[0])
+    return QuasienergyPair(*_quasienergies(params.delta, [bessel_j(0, params.zeta)])[0])
 
 
 def _raw_states(delta: float, rabis: np.ndarray, t: np.ndarray, xs: np.ndarray, xa: np.ndarray) -> np.ndarray:
@@ -123,21 +123,35 @@ def _raw_states(delta: float, rabis: np.ndarray, t: np.ndarray, xs: np.ndarray, 
     return out
 
 
-def _states(delta: float, zetas, t: np.ndarray, on_grid: bool = False) -> np.ndarray:
+def _states(delta: float, zetas, t: np.ndarray, on_grid: bool = False, rows=None) -> np.ndarray:
     """Both first-order modes at the phases t (1-D) for every zeta, shape (m, 2, t.size, 2) with
     [k, i - 1] mode i at zetas[k], unit norm and phase-anchored at tau = 0.  Each zeta reads one
-    Bessel row, for its series and its anchor; on_grid means t = tau_grid(t.size), where the
-    series of every zeta come from one inverse FFT."""
-    rows = [_coefficient_row(zeta) for zeta in zetas]
+    Bessel row, for its series and its anchor, or takes its _coefficient_row from rows.
+
+    on_grid means t = tau_grid(t.size) with t.size even: the series of every zeta come from one
+    inverse FFT, and only the first half of the grid is evaluated.  phi and xi_a change sign
+    under tau -> tau + pi and xi_s does not, so the second half is P = diag(1, -1) times the
+    first for mode 1 and -P times it for mode 2."""
+    rows = [_coefficient_row(zeta) for zeta in zetas] if rows is None else rows
     zero = np.zeros(1)
 
     def direct(at):
         return [np.reshape([f(row, at) for row in rows], (-1, at.size)) for f in (_xi_s_from_row, _xi_a_from_row)]
 
     rabis = np.reshape(zetas, (-1, 1)) / 2.0
-    states = _raw_states(delta, rabis, t, *(_grid_series(rows, t.size) if on_grid else direct(t)))
+    if on_grid:
+        half = t.size // 2
+        states = _raw_states(delta, rabis, t[:half], *(s[:, :half] for s in _grid_series(rows, t.size)))
+    else:
+        states = _raw_states(delta, rabis, t, *direct(t))
     states = states / np.linalg.norm(states, axis=-1, keepdims=True)
-    return states * _phase_factor(_raw_states(delta, rabis, zero, *direct(zero)))
+    states = states * _phase_factor(_raw_states(delta, rabis, zero, *direct(zero)))
+    if on_grid:
+        shifted = states.copy()
+        np.negative(shifted[:, 0, :, 1], out=shifted[:, 0, :, 1])
+        np.negative(shifted[:, 1, :, 0], out=shifted[:, 1, :, 0])
+        states = np.concatenate((states, shifted), axis=-2)
+    return states
 
 
 def analytic_floquet_state(params: SystemParams, label: int, tau) -> np.ndarray:
@@ -222,6 +236,6 @@ def analytic_modes(params: SystemParams, n_grid: int = 512) -> tuple[FloquetMode
     """
     if not isinstance(n_grid, (int, np.integer)) or n_grid < 64 or n_grid % 2 != 0:
         raise DomainError(f"n_grid must be an even integer >= 64, got {n_grid!r}")
-    eps = _quasienergies(params.delta, [params.zeta])[0]
+    eps = _quasienergies(params.delta, [bessel_j(0, params.zeta)])[0]
     states = _states(params.delta, [params.zeta], tau_grid(n_grid), on_grid=True)[0]
     return FloquetMode(1, eps[0], states[0]), FloquetMode(2, eps[1], states[1])

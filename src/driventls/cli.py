@@ -24,7 +24,8 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .analytic import _quasienergies, _states
+from .analytic import _coefficient_row, _quasienergies, _states
+from .bessel import bessel_j
 from .core import DomainError, DrivenTLSError, SystemParams, tau_grid, unitarity_defect
 from .floquet import _mode_scan, _raise_first, build_modes, exact_quasienergy_scan, quasienergy_distance
 from .propagator import PropagationConfig
@@ -131,7 +132,8 @@ def cmd_sweep(
     gaps = (exact[:, 1] - exact[:, 0]).tolist()
     ns = np.arange(-int(manifolds), int(manifolds) + 1)
     rows = {"zeta": np.repeat(zetas, ns.size), "n": np.tile(ns, zetas.size)}
-    for source, pairs in (("analytic", _quasienergies(params.delta, zetas)), ("exact", exact)):
+    analytic = _quasienergies(params.delta, [bessel_j(0, zeta) for zeta in zetas])
+    for source, pairs in (("analytic", analytic), ("exact", exact)):
         for label, eps in zip(("eps1", "eps2"), pairs.T):
             rows[f"{label}_{source}"] = np.add.outer(eps, ns).ravel()
     # an exact zero of the gap is a bracket already collapsed onto its grid zeta
@@ -171,10 +173,12 @@ def cmd_validate(params: SystemParams, propagation: PropagationConfig, n_grid: i
     """
     delta, mu2 = params.delta, params.dipole**2
     errors, exact_eps, exact, monodromies = _mode_scan(delta, zeta_list, propagation, n_grid)
-    # the checks of every solved zeta come from one pass over their stacks
+    # the checks of every solved zeta come from one pass over their stacks, and each reads one
+    # Bessel row: its series, its J_0 and its closed-form intensities up to k = 9
     zetas = [zeta for zeta, error in zip(zeta_list, errors) if error is None]
+    rows = [_coefficient_row(zeta) for zeta in zetas]
 
-    (_, _, k, forbidden), numeric, closed = _line_stack(delta, mu2, zetas, exact, 9)
+    (_, _, k, forbidden), numeric, closed = _line_stack(delta, mu2, rows, exact, 9)
     leakage = np.max(numeric[:, forbidden] / mu2, axis=1, initial=0.0)
     # allowed lines up to |k| = 7; the weak ones, whose closed form is at most
     # 1e-12 mu2, are held to that absolute bound instead of a relative error
@@ -187,8 +191,8 @@ def cmd_validate(params: SystemParams, propagation: PropagationConfig, n_grid: i
     drift = unitarity_defect(monodromies) / propagation.steps_per_period
 
     # both solvers label the symmetric mode 1, so the modes pair by label
-    gap = quasienergy_distance(exact_eps, _quasienergies(delta, zetas)).max(axis=1)
-    analytic = _states(delta, zetas, tau_grid(n_grid), on_grid=True)
+    gap = quasienergy_distance(exact_eps, _quasienergies(delta, [row[0] for row in rows])).max(axis=1)
+    analytic = _states(delta, zetas, tau_grid(n_grid), on_grid=True, rows=rows)
     overlaps = np.mean(np.sum(np.conj(exact) * analytic, axis=-1), axis=-1)
     # hypot is abs of one complex scalar; numpy's array abs can round the last bit otherwise
     fidelity = (np.hypot(overlaps.real, overlaps.imag) ** 2).min(axis=1)

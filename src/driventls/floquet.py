@@ -185,9 +185,12 @@ def build_modes(
             64 <= n_grid <= steps_per_period.
 
     Returns:
-        FloquetSolution from a single propagation.  Mode 1 is the symmetric
-        mode; mode samples are unit norm at every grid point and satisfy the
-        phase convention at tau = 0.
+        FloquetSolution from a single propagation of [0, pi], the grid past
+        pi filled by the shift symmetry as in propagate_grid.  Mode 1 is the
+        symmetric mode; mode samples are unit norm at every grid point and
+        satisfy the phase convention at tau = 0.  The error estimate covers
+        every grid point, the filled ones included: it compares the filled
+        grid with the half-step run filled the same way.
     """
     config = config or DEFAULT_CONFIG
     _check_grid(n_grid, config)

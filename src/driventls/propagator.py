@@ -27,8 +27,8 @@ TWO_PI = 2.0 * math.pi
 _ERROR_BOUND = 1e-7
 
 # bytes of steps held at once: per batch of drive strengths in half_period_propagators
-# (8 at the default step count), per time block in the full-period route; in sweeps
-# 1 << 17 and 1 << 19 ran slower, and 1 << 19 peaked higher in memory
+# (8 at the default step count), per time block of the half period the grid route
+# propagates; in sweeps 1 << 17 and 1 << 19 ran slower, and 1 << 19 peaked higher in memory
 _BATCH_BYTES = 1 << 18
 
 # distance of the two Gauss-Legendre nodes from the step midpoint, in steps
@@ -152,13 +152,25 @@ def _evolve(delta: float, rabis, tau0: float, span: float, n_steps: int, n_out: 
     return np.concatenate((start, _prefix(np.concatenate(blocks, axis=-2))), axis=-2)
 
 
-def _checked(delta: float, rabis, tau0: float, span: float, n_steps: int, n_out: int):
+def _shifted(u: np.ndarray) -> np.ndarray:
+    """U(tau_k, 0) over [0, 2 pi] from the (m, n + 1, 2) points tau_k = pi k / n of [0, pi]:
+    each point pi + tau_k is P U(tau_k, 0) P U(pi, 0), because H(tau + pi) = P H(tau) P with
+    P = diag(1, -1).  P X P is the pair (a, -b)."""
+    later = u[:, 1:].copy()
+    np.negative(later[..., 1], out=later[..., 1])
+    return np.concatenate((u, _compose(later, u[:, -1:])), axis=-2)
+
+
+def _checked(delta: float, rabis, tau0: float, span: float, n_steps: int, n_out: int, shift: bool = False):
     """_evolve with n_steps (even) at every Rabi amplitude, with the step-halving error
     estimate of each and its AccuracyError, or None; nothing is raised.
 
     The estimate is the largest difference to the half-step run over every
     returned point that run also reaches: all of them when each output
-    interval holds an even step count, every second one otherwise.
+    interval holds an even step count, every second one otherwise.  shift
+    takes [0, pi] for tau0 and span and returns the whole period, both runs
+    filled by _shifted before they are compared; a refusal then names the
+    period and its 2 n_steps steps.
     """
     stride = 1 if (n_steps // n_out) % 2 == 0 else 2
     rabis = np.asarray(rabis, dtype=float).reshape(-1)
@@ -166,6 +178,9 @@ def _checked(delta: float, rabis, tau0: float, span: float, n_steps: int, n_out:
     with np.errstate(over="ignore", invalid="ignore"):
         fine = _evolve(delta, rabis, tau0, span, n_steps, n_out)
         coarse = _evolve(delta, rabis, tau0, span, n_steps // 2, n_out // stride)
+        if shift:
+            fine, coarse = _shifted(fine), _shifted(coarse)
+            span, n_steps = 2.0 * span, 2 * n_steps
         estimates = np.max(np.abs(fine[:, ::stride] - coarse), axis=(1, 2)) / 15.0
     refusals = [
         _refusal(estimate, f"at zeta = {2.0 * rabi:.17g} with {n_steps} steps over a span of {span:.6g}")
@@ -233,12 +248,20 @@ def one_period_propagator(
 def propagate_grid(
     params: SystemParams, config: PropagationConfig | None = None, n_grid: int = 512
 ) -> tuple[np.ndarray, float]:
-    """U(tau_k, 0) on the uniform grid tau_k = 2*pi*k/n_grid, k = 0..n_grid.
+    """U(tau_k, 0) on the uniform grid tau_k = 2*pi*k/n_grid, k = 0..n_grid, for an even n_grid.
 
     Returns the (n_grid + 1, 2, 2) array of propagators and its step-halving
-    error estimate, which covers every grid point.  The last entry is the
-    monodromy operator; the middle entry (even n_grid) is the half-period
-    propagator used for symmetry resolution.  grid_propagators of one drive.
+    error estimate.  The last entry is the monodromy operator; the middle
+    entry is the half-period propagator used for symmetry resolution.
+    grid_propagators of one drive: only [0, pi] is propagated, and each
+    point past pi is filled from two propagated ones by the shift symmetry.
+    The half-step run is filled the same way, so the estimate is the largest
+    difference over every returned point, the filled ones included, and
+    carries the error of U(pi, 0) into each filled point.
+
+    Raises:
+        DomainError: n_grid is not an even positive integer.
+        AccuracyError: the estimate exceeds 1e-7.
     """
     grids, estimates, (refusal,) = grid_propagators(params.delta, [params.rabi], config, n_grid)
     if refusal is not None:
@@ -252,12 +275,13 @@ def grid_propagators(
     """propagate_grid at every Rabi amplitude in rabis, in one pass: the (m, n_grid + 1, 2, 2)
     grids, their (m,) estimates, and per grid the AccuracyError propagate_grid raises, or None."""
     config = config or DEFAULT_CONFIG
-    if not isinstance(n_grid, (int, np.integer)) or n_grid < 1:
-        raise DomainError(f"n_grid must be a positive integer, got {n_grid!r}")
+    if not isinstance(n_grid, (int, np.integer)) or n_grid < 2 or n_grid % 2:
+        raise DomainError(f"n_grid must be an even positive integer, got {n_grid!r}")
+    half = n_grid // 2
     sub = max(1, config.steps_per_period // n_grid)
     # the half-step run needs an even step count
-    sub += (sub * n_grid) % 2
-    u, estimates, refusals = _checked(delta, rabis, 0.0, TWO_PI, sub * n_grid, n_grid)
+    sub += (sub * half) % 2
+    u, estimates, refusals = _checked(delta, rabis, 0.0, math.pi, sub * half, half, shift=True)
     return _matrices(u), estimates, refusals
 
 

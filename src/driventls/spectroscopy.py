@@ -67,10 +67,11 @@ def _closed_form(delta: float, mu2: float, rows: np.ndarray, k: np.ndarray, forb
     return np.where(forbidden, 0.0, np.where(k == 0, mu2, scaled))
 
 
-def _line_stack(delta: float, mu2: float, zetas, samples: np.ndarray, k_max: int) -> tuple:
+def _line_stack(delta: float, mu2: float, rows, samples: np.ndarray, k_max: int) -> tuple:
     """Every line up to |k| = k_max at each of m drive strengths: the (i, j, k) columns and their
     forbidden flags, 4 (2 k_max + 1) lines ordered by (i, j), then k; and per zeta the numeric
-    intensities from its mode samples (m, 2, n, 2) and the closed-form ones, (m, lines) each."""
+    intensities from its mode samples (m, 2, n, 2) and the closed-form ones from its Bessel row
+    J_0 .. J_r, r >= k_max, (m, lines) each."""
     ks = np.arange(-k_max, k_max + 1)
     i = np.repeat([1, 1, 2, 2], ks.size)
     j = np.repeat([1, 2, 1, 2], ks.size)
@@ -82,7 +83,7 @@ def _line_stack(delta: float, mu2: float, zetas, samples: np.ndarray, k_max: int
     f = (bra[..., 0] * ket[..., 1] + bra[..., 1] * ket[..., 0]).reshape(-1, 4, n)
     # period average of f(tau) e^{i k tau} for every k: (1/n) sum_m f(tau_m) e^{i k tau_m} = ifft at k mod n
     numeric = mu2 * np.abs(np.fft.ifft(f, axis=-1)[..., ks % n]) ** 2
-    rows = np.reshape([bessel_row(k_max, zeta) for zeta in zetas], (-1, k_max + 1))
+    rows = np.reshape([row[: k_max + 1] for row in rows], (-1, k_max + 1))
     closed = _closed_form(delta, mu2, rows, k, forbidden)
     return (i, j, k, forbidden), numeric.reshape(-1, k.size), closed
 
@@ -123,7 +124,7 @@ def spectrum(
         raise DomainError(f"k_max must be below n_samples/2 = {n // 2}, got {k_max}")
     pair = analytic_quasienergies(params)
     samples = np.array([[m.samples for m in sorted(modes, key=lambda m: m.label)]])
-    lines = _line_stack(params.delta, params.dipole**2, [params.zeta], samples, k_max)
+    lines = _line_stack(params.delta, params.dipole**2, [bessel_row(k_max, params.zeta)], samples, k_max)
     (i_col, j_col, k_col, forbidden), (numeric,), (closed,) = lines
     eps = np.array([pair.eps1, pair.eps2])
     signed = eps[j_col - 1] - eps[i_col - 1] + k_col

@@ -291,6 +291,17 @@ def test_stacked_modes_are_each_zeta_alone():
         assert np.array_equal(modes, [mode.samples for mode in analytic_modes(_params(0.3, zeta), 64)])
 
 
+@pytest.mark.parametrize("zeta", [0.0, 1e-9, 0.6, 2.404825557695773, 10.0, 40.0, 100.0])
+def test_grid_states_filled_by_shift_match_the_direct_states(zeta):
+    # the on-grid route evaluates tau < pi and fills the rest by +P (mode 1) and -P (mode 2);
+    # the direct route reads sin at each rounded tau_k past pi, whose rounding the Rabi
+    # amplitude multiplies, so its own error grows like zeta * 1e-16 past zeta ~ 10
+    taus = tau_grid(128)
+    filled = _states(0.3, [zeta, 1.0], taus, on_grid=True)
+    direct = _states(0.3, [zeta, 1.0], taus)
+    assert np.max(np.abs(filled - direct)) <= 1e-14 * max(1.0, zeta / 10.0)
+
+
 @pytest.mark.parametrize("zeta", [0.0, 1e-9, 0.6, 2.404825557695773, 40.0, 100.0])
 @pytest.mark.parametrize("n_grid", [64, 512, 4096])
 def test_grid_series_by_fft_equal_the_direct_sums(zeta, n_grid):

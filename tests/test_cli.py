@@ -434,10 +434,9 @@ def test_one_process_runs_like_fresh_ones(capsys):
 
 
 def test_closed_form_bessel_row_budget(monkeypatch, capsys):
-    # validate reads per zeta one coefficient row for the analytic modes, one
-    # J0 for their quasienergies and one row up to k = 9 for the closed-form
-    # intensities; weights reads only the coefficient row, and sweep one J0
-    # per grid point for its analytic column
+    # validate reads per zeta one coefficient row, for the analytic modes, their
+    # quasienergies and the closed-form intensities up to k = 9; weights reads
+    # only the coefficient row, and sweep one J0 per grid point for its analytic column
     rows = []
     original = driventls.bessel._miller_row
 
@@ -448,7 +447,7 @@ def test_closed_form_bessel_row_budget(monkeypatch, capsys):
     monkeypatch.setattr(driventls.bessel, "_miller_row", counting)
     code, _, _ = _run(capsys, ["validate", "--zetas", "0.6", "3.1", "--grid", "64"])
     assert code == 0
-    assert len(rows) <= 3 * 2
+    assert len(rows) <= 1 * 2
     rows.clear()
     code, _, _ = _run(capsys, ["weights", "--zetas", "0.6", "3.1", "40", "--grid", "64"])
     assert code == 0

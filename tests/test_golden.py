@@ -5,9 +5,17 @@ float column not named in TOLERANCES.  The goldens cover the invocations of
 the CI output contract, with weights on a 128-sample grid in place of 1024 to
 keep the files small.  A change that moves output within the tolerances
 regenerates them and says so; one that moves output beyond them changes the
-contract.  Regenerate from the root of a checkout with
+contract.  From the root of a checkout,
+
+    PYTHONPATH=src python tests/test_golden.py --diff
+
+prints, per golden and numeric column, the largest absolute and relative
+move of fresh output against the committed file, with forbidden lines and
+cells below 1e-12 apart, and
 
     PYTHONPATH=src python tests/test_golden.py
+
+regenerates them.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -138,7 +147,55 @@ def test_exact_weight_rows_are_the_golden_values(name):
     assert exact == [row for row in golden if row["source"] == "exact"] and exact
 
 
+def _number(cell) -> float | None:
+    """A cell's float value, or None for booleans, nulls and text that is no number."""
+    if isinstance(cell, bool) or cell is None:
+        return None
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return None
+
+
+def _print_moves() -> None:
+    """Per golden the largest absolute and relative move of each numeric column of fresh output.
+    The forbidden lines of a spectrum, and cells whose golden magnitude is below 1e-12, are
+    reported as columns of their own; a relative move off a zero golden is inf."""
+    for name, (argv, expected_code) in CASES.items():
+        code, text = _run(argv)
+        golden_text = (GOLDEN / name).read_text(encoding="utf-8")
+        header, rows = _parse(name, text)
+        golden_header, golden_rows = _parse(name, golden_text)
+        notes = ["same bytes" if text == golden_text else "bytes differ"]
+        if code != expected_code:
+            notes.append(f"exit code {code}, expected {expected_code}")
+        if header != golden_header:
+            notes.append("headers differ: " + ", ".join(k for k in golden_header if header.get(k) != golden_header[k]))
+        if len(rows) != len(golden_rows) or any(list(a) != list(b) for a, b in zip(rows, golden_rows)):
+            notes.append(f"table layout differs ({len(rows)} rows, golden {len(golden_rows)})")
+        print(f"{name}: {'; '.join(notes)}")
+        # column -> (largest absolute move, largest relative move)
+        moves = {}
+        for row, golden in zip(rows, golden_rows):
+            forbidden = golden.get("forbidden") in (True, "true")
+            for column, cell in row.items():
+                fresh, old = _number(cell), _number(golden.get(column))
+                if fresh is None or old is None:
+                    continue
+                move = abs(fresh - old)
+                rel = move / abs(old) if old else (math.inf if move else 0.0)
+                key = f"{column} [forbidden]" if forbidden else column
+                key += " [below 1e-12]" if abs(old) < 1e-12 else ""
+                largest = moves.get(key, (0.0, 0.0))
+                moves[key] = (max(largest[0], move), max(largest[1], rel))
+        for key, (move, rel) in moves.items():
+            print(f"  {key:46} abs {move:.2e}  rel {rel:.2e}")
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        _print_moves()
+        sys.exit()
     GOLDEN.mkdir(exist_ok=True)
     for name, (argv, expected_code) in CASES.items():
         code, text = _run(argv)

@@ -282,12 +282,26 @@ def test_propagate_grid_interior_point():
     assert np.max(np.abs(grid[4] - u_half)) <= 1e-13
 
 
+@pytest.mark.parametrize("delta, zeta", [(0.02, 0.6), (0.5, 3.1), (0.1, 40.0)])
+def test_grid_points_past_half_period_match_propagate(delta, zeta):
+    # the grid route propagates [0, pi] and fills each later point by the shift symmetry
+    p = _params(delta, zeta)
+    grid, _ = propagate_grid(p, n_grid=64)
+    for k in range(33, 65):
+        assert np.max(np.abs(grid[k] - propagate(p, 0.0, TWO_PI * k / 64))) <= 1e-13, k
+
+
 def test_propagate_grid_validation():
     p = _params(0.1, 1.0)
     with pytest.raises(DomainError):
         propagate_grid(p, n_grid=0)
     with pytest.raises(DomainError):
         propagate_grid(p, n_grid=128.0)
+    # tau = pi must be a grid point
+    with pytest.raises(DomainError, match="n_grid must be an even positive integer, got 65"):
+        propagate_grid(p, n_grid=65)
+    with pytest.raises(DomainError, match="n_grid"):
+        grid_propagators(0.1, [0.5], n_grid=1)
 
 
 def test_bad_span():

@@ -11,6 +11,7 @@ from driventls import (
     DomainError,
     SystemParams,
     analytic_quasienergies,
+    bessel_row,
     build_modes,
     is_forbidden,
     j0_zero,
@@ -63,7 +64,8 @@ def test_stacked_lines_are_the_per_line_sums():
     zetas = [0.6, 2.404825557695773, 9.93, 40.0]
     solutions = [build_modes(_params(0.02, zeta), n_grid=128) for zeta in zetas]
     samples = np.array([[mode.samples for mode in solution.modes] for solution in solutions])
-    (i, j, k, _), numeric, closed = _line_stack(0.02, 2.25, zetas, samples, 9)
+    rows = [bessel_row(9, zeta) for zeta in zetas]
+    (i, j, k, _), numeric, closed = _line_stack(0.02, 2.25, rows, samples, 9)
     ks = np.arange(-9, 10)
     phases = np.exp(1j * np.multiply.outer(tau_grid(128), ks))
     for zeta, solution, lines, closed_form in zip(zetas, solutions, numeric, closed):
@@ -360,11 +362,13 @@ def test_spectrum_takes_modes_1_and_2_in_either_order():
 
 
 @pytest.mark.parametrize("delta", [0.02, 0.5])
-@pytest.mark.parametrize("zeta", [0.6, j0_zero(1), 10.0, 40.0])
+@pytest.mark.parametrize("zeta", [0.3, 0.6, j0_zero(1), 10.0, 40.0])
 def test_intensities_match_shirley(zeta, delta):
+    # relative on every line, the weakest included: with no absolute floor, lines of 1e-14
+    # at zeta = 0.3 see a grid that loses digits in its second half
     p = _params(delta, zeta)
     reference = shirley_line_intensities(delta, zeta, 5)
     lines = spectrum(p, build_modes(p).modes, 5)
     assert lines["i"].size == 22
     for key, value in _intensities(lines).items():
-        assert value == pytest.approx(reference[key], rel=1e-8), key
+        assert value == pytest.approx(reference[key], rel=1e-8, abs=0.0), key
