@@ -26,10 +26,11 @@ TWO_PI = 2.0 * math.pi
 # largest step-halving error estimate a returned propagator may carry
 _ERROR_BOUND = 1e-7
 
-# bytes of steps held at once: per batch of drive strengths in half_period_propagators
-# (8 at the default step count), per time block of the half period the grid route
-# propagates; in sweeps 1 << 17 and 1 << 19 ran slower, and 1 << 19 peaked higher in memory
-_BATCH_BYTES = 1 << 18
+# bytes of steps held at once by _evolve: a time block of all drive strengths, or one
+# interval of a group of them (16 quarter periods of 1024 steps in a default sweep); a
+# default sweep ran slower at 1 << 18 and 1 << 20, and every command peaked within 0.2 MB
+# of its 1 << 18 peak
+_BATCH_BYTES = 1 << 19
 
 # distance of the two Gauss-Legendre nodes from the step midpoint, in steps
 _NODE = math.sqrt(3.0) / 6.0
@@ -140,16 +141,22 @@ def _prefix(blocks: np.ndarray) -> np.ndarray:
 
 def _evolve(delta: float, rabis, tau0: float, span: float, n_steps: int, n_out: int) -> np.ndarray:
     """U(tau0 + span*k/n_out, tau0), k = 0..n_out, as SU(2) pairs of shape (m, n_out + 1, 2)
-    for m rabis; n_out | n_steps.  The steps of all rabis are built and multiplied one time
-    block of whole output intervals at a time: _BATCH_BYTES of steps, or one interval."""
+    for m rabis; n_out | n_steps.  The steps are built and multiplied one time block of whole
+    output intervals at a time, _BATCH_BYTES of steps of all rabis; where one interval of all
+    of them exceeds that, a block is one interval of a group of as many rabis as fit."""
     sub = n_steps // n_out
-    per = sub * max(1, _BATCH_BYTES // (32 * sub * rabis.size))
-    blocks = []
-    for first in range(0, n_steps, per):
-        steps = _steps(delta, rabis[:, None], tau0, span / n_steps, n_steps, slice(first, first + per))
-        blocks.append(_product(steps.reshape(rabis.size, steps.shape[-2] // sub, sub, 2)))
-    start = np.broadcast_to(np.array([1.0, 0.0], dtype=complex), (rabis.size, 1, 2))
-    return np.concatenate((start, _prefix(np.concatenate(blocks, axis=-2))), axis=-2)
+    group = max(1, _BATCH_BYTES // (32 * sub))
+    out = np.empty((rabis.size, n_out + 1, 2), dtype=complex)
+    out[:, 0] = (1.0, 0.0)
+    for lo in range(0, rabis.size, group):
+        part = rabis[lo : lo + group, None]
+        per = sub * max(1, _BATCH_BYTES // (32 * sub * part.size))
+        blocks = []
+        for first in range(0, n_steps, per):
+            steps = _steps(delta, part, tau0, span / n_steps, n_steps, slice(first, first + per))
+            blocks.append(_product(steps.reshape(part.size, -1, sub, 2)))
+        out[lo : lo + group, 1:] = _prefix(np.concatenate(blocks, axis=-2))
+    return out
 
 
 def _shifted(u: np.ndarray) -> np.ndarray:
@@ -161,16 +168,25 @@ def _shifted(u: np.ndarray) -> np.ndarray:
     return np.concatenate((u, _compose(later, u[:, -1:])), axis=-2)
 
 
-def _checked(delta: float, rabis, tau0: float, span: float, n_steps: int, n_out: int, shift: bool = False):
+def _reflected(u: np.ndarray) -> np.ndarray:
+    """U(pi, 0), shape (m, 1, 2), from the (m, 2, 2) points 0 and pi/2: U(pi, 0) is
+    P U(pi/2, 0)^T P U(pi/2, 0), because the drive is odd about pi/2, so H(pi - tau) =
+    P H(tau) P.  P X^T P is the pair (a, conj(b))."""
+    later = u[:, 1:].copy()
+    np.conjugate(later[..., 1], out=later[..., 1])
+    return _compose(later, u[:, 1:])
+
+
+def _checked(delta: float, rabis, tau0: float, span: float, n_steps: int, n_out: int, fill=None):
     """_evolve with n_steps (even) at every Rabi amplitude, with the step-halving error
     estimate of each and its AccuracyError, or None; nothing is raised.
 
     The estimate is the largest difference to the half-step run over every
     returned point that run also reaches: all of them when each output
-    interval holds an even step count, every second one otherwise.  shift
-    takes [0, pi] for tau0 and span and returns the whole period, both runs
-    filled by _shifted before they are compared; a refusal then names the
-    period and its 2 n_steps steps.
+    interval holds an even step count, every second one otherwise.  fill,
+    _shifted or _reflected, maps both runs to points over twice the span
+    before they are compared; a refusal then names that span and its
+    2 n_steps steps.
     """
     stride = 1 if (n_steps // n_out) % 2 == 0 else 2
     rabis = np.asarray(rabis, dtype=float).reshape(-1)
@@ -178,24 +194,20 @@ def _checked(delta: float, rabis, tau0: float, span: float, n_steps: int, n_out:
     with np.errstate(over="ignore", invalid="ignore"):
         fine = _evolve(delta, rabis, tau0, span, n_steps, n_out)
         coarse = _evolve(delta, rabis, tau0, span, n_steps // 2, n_out // stride)
-        if shift:
-            fine, coarse = _shifted(fine), _shifted(coarse)
+        if fill is not None:
+            fine, coarse = fill(fine), fill(coarse)
             span, n_steps = 2.0 * span, 2 * n_steps
         estimates = np.max(np.abs(fine[:, ::stride] - coarse), axis=(1, 2)) / 15.0
     refusals = [
-        _refusal(estimate, f"at zeta = {2.0 * rabi:.17g} with {n_steps} steps over a span of {span:.6g}")
+        None
+        if estimate <= _ERROR_BOUND
+        else AccuracyError(
+            f"step-halving error estimate {estimate:.3e} exceeds {_ERROR_BOUND:.0e} at zeta = "
+            f"{2.0 * rabi:.17g} with {n_steps} steps over a span of {span:.6g}; increase steps_per_period"
+        )
         for rabi, estimate in zip(rabis.tolist(), estimates.tolist())
     ]
     return fine, estimates, refusals
-
-
-def _refusal(estimate: float, where: str) -> AccuracyError | None:
-    if estimate <= _ERROR_BOUND:
-        return None
-    return AccuracyError(
-        f"step-halving error estimate {estimate:.3e} exceeds {_ERROR_BOUND:.0e} "
-        f"{where}; increase steps_per_period"
-    )
 
 
 def _matrices(u: np.ndarray) -> np.ndarray:
@@ -281,7 +293,7 @@ def grid_propagators(
     sub = max(1, config.steps_per_period // n_grid)
     # the half-step run needs an even step count
     sub += (sub * half) % 2
-    u, estimates, refusals = _checked(delta, rabis, 0.0, math.pi, sub * half, half, shift=True)
+    u, estimates, refusals = _checked(delta, rabis, 0.0, math.pi, sub * half, half, _shifted)
     return _matrices(u), estimates, refusals
 
 
@@ -292,32 +304,10 @@ def half_period_propagators(
     estimate of each, shape (m,), and per amplitude the AccuracyError of an estimate over
     1e-7, naming its zeta = 2*rabi, or None; nothing is raised.
 
-    Only [0, pi/2] is propagated, with steps_per_period // 4 steps: the drive is odd about
-    pi/2, so H(pi - tau) = P H(tau) P with P = diag(1, -1), and U(pi, 0) = P U(pi/2, 0)^T P
-    U(pi/2, 0).  Both runs are reflected before they are compared, so the estimate is the
-    one propagate(params, 0, pi) checks.
+    _checked over [0, pi/2] with one output interval and steps_per_period // 4 steps, filled
+    by _reflected: both runs are reflected before they are compared, so the estimate is taken
+    at U(pi, 0) and a refusal reads as one of propagate(params, 0, pi).
     """
     config = config or DEFAULT_CONFIG
-    rabis = np.asarray(rabis, dtype=float).reshape(-1)
-    n = config.steps_per_period // 4
-    h = 0.5 * math.pi / n
-    batch = max(1, _BATCH_BYTES // (32 * n))
-    halves, estimates = [], []
-    # as in _checked, an overflow to NaN is refused by its estimate
-    with np.errstate(over="ignore", invalid="ignore"):
-        for chunk in np.split(rabis, range(batch, rabis.size, batch)):
-            # the fine run's first tree level leaves as many factors as the half-step run
-            # has steps, so the rest of both trees is one product over stacked rows
-            fine = _steps(delta, chunk[:, None], 0.0, h, n)
-            fine = _compose(fine[:, 1::2], fine[:, ::2])
-            u = _product(np.concatenate((fine, _steps(delta, chunk[:, None], 0.0, 2.0 * h, n // 2))))
-            # P U^T P is the pair (a, conj(b))
-            runs = np.split(_compose(np.stack((u[..., 0], u[..., 1].conj()), axis=-1), u), 2)
-            halves.append(runs[0])
-            estimates.append(np.max(np.abs(runs[0] - runs[1]), axis=-1) / 15.0)
-    estimates = np.concatenate(estimates)
-    refusals = [
-        _refusal(estimate, f"at zeta = {2.0 * rabi:.17g} with {4 * n} steps per period")
-        for rabi, estimate in zip(rabis.tolist(), estimates.tolist())
-    ]
-    return _matrices(np.concatenate(halves)), estimates, refusals
+    u, estimates, refusals = _checked(delta, rabis, 0.0, 0.5 * math.pi, config.steps_per_period // 4, 1, _reflected)
+    return _matrices(u[:, -1]), estimates, refusals

@@ -3,7 +3,6 @@ import io
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -360,6 +359,27 @@ def test_validate_propagates_once_per_command(monkeypatch, capsys):
     assert counts == {"grid": 0, "checked": 1, "evolve": 2}
 
 
+def test_sweep_propagates_once_per_scan(monkeypatch, capsys, scans):
+    # the quarter periods of a scan run through the same _checked pass as the
+    # grids: one per scan call, the grid scan and the five Illinois rounds of
+    # the default sweep, each with one fine and one half-step _evolve run
+    counts = {"checked": 0, "evolve": 0}
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for name, key in (("_checked", "checked"), ("_evolve", "evolve")):
+        monkeypatch.setattr(driventls.propagator, name, counting(key, getattr(driventls.propagator, name)))
+    code, _, _ = _run(capsys, ["sweep"])
+    assert code == 0
+    assert len(scans) == 6
+    assert counts == {"checked": 6, "evolve": 12}
+
+
 def _checks(capsys, argv):
     code, out, _ = _run(capsys, argv)
     checks = json.loads(out)["checks"]
@@ -582,11 +602,14 @@ def test_runtime_error_exits_3(capsys):
 
 
 def test_sweep_accuracy_error_names_its_point(capsys):
+    # the refusal reads as propagate(p, 0, pi) words it: the quarter period's 16 steps
+    # reflected onto the half period
     code, out, err = _run(capsys, ["sweep", "--steps", "64", "--zeta-max", "40"])
-    assert code == 3
-    assert out == ""
-    assert re.search(r"at zeta = \d", err)
-    assert "with 64 steps per period" in err
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: step-halving error estimate 1.021e-07 exceeds 1e-07 at zeta = 6.6666666666666661 "
+        "with 32 steps over a span of 3.14159; increase steps_per_period\n"
+    )
 
 
 def test_zone_boundary_exits_3(capsys):

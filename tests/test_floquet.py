@@ -222,9 +222,9 @@ def test_exact_quasienergies_propagate_a_quarter_period(monkeypatch):
     runs = []
     original = driventls.propagator._steps
 
-    def recording(delta, rabi, tau0, h, n):
+    def recording(delta, rabi, tau0, h, n, block=slice(None)):
         runs.append((tau0, h * n, n, np.shape(rabi)))
-        return original(delta, rabi, tau0, h, n)
+        return original(delta, rabi, tau0, h, n, block)
 
     monkeypatch.setattr(driventls.propagator, "_steps", recording)
     exact_quasienergies(_params(0.1, 2.0), PropagationConfig(steps_per_period=256))

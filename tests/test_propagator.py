@@ -147,17 +147,20 @@ def test_quarter_period_reflection(zeta, delta):
     assert np.max(np.abs(halves[0] - direct)) <= 1e-14
     coarse = propagate(p, 0.0, math.pi, PropagationConfig(steps_per_period=2048))
     estimate = np.max(np.abs(direct[0] - coarse[0])) / 15.0
-    assert estimates[0] == pytest.approx(estimate, rel=1e-3)
+    assert estimates[0] == pytest.approx(estimate, rel=1e-3, abs=0.0)
 
 
-def test_quasienergy_scan_matches_single_points():
-    # 121 drive strengths span several batches; each row equals its own solve
+@pytest.mark.parametrize("batch_bytes", [1 << 15, 1 << 22])
+def test_quasienergy_scan_matches_single_points(monkeypatch, batch_bytes):
+    # 121 drive strengths in groups of one (at 1 << 15 bytes a quarter period of 1024 steps
+    # fills the budget) or in one group of all; each row equals its own solve bit for bit
+    monkeypatch.setattr(driventls.propagator, "_BATCH_BYTES", batch_bytes)
     zetas = np.linspace(0.0, 6.0, 121)
     scan = exact_quasienergy_scan(0.03, zetas)
     assert scan.shape == (121, 2)
-    for zeta, row in zip(zetas, scan.tolist()):
+    for zeta, row in zip(zetas, scan):
         pair = exact_quasienergies(_params(0.03, zeta))
-        assert row == [pair.eps1, pair.eps2]
+        assert np.array_equal(_bits(row), _bits(np.array([pair.eps1, pair.eps2])))
 
 
 def _bits(u):
@@ -197,9 +200,10 @@ def test_in_place_kernel_is_bitwise_the_plain_expressions(delta, rabi):
 
 @pytest.mark.parametrize("steps, batch_bytes", [(4096, 1 << 18), (4096, 1 << 12), (128, 1 << 18)])
 def test_batched_grid_is_bitwise_the_one_drive_grid(monkeypatch, steps, batch_bytes):
-    # five drive strengths in one pass, built one time block at a time (a
-    # single grid interval per block at 1 << 12 bytes), against each one's own
-    # propagate_grid; 128 steps per period refuse zeta = 40 and 100
+    # five drive strengths in one pass, built one time block at a time, against
+    # each one's own propagate_grid; at 1 << 12 bytes a block is a single grid
+    # interval of a group of drive strengths, at most 2 per group in the fine
+    # run and 4 in the half-step run; 128 steps per period refuse zeta = 40 and 100
     config = PropagationConfig(steps_per_period=steps)
     zetas = [0.0, 0.6, 2.404825557695773, 40.0, 100.0]
     alone = []
@@ -224,9 +228,9 @@ def test_scan_accuracy_error_names_first_failing_point():
     config = PropagationConfig(steps_per_period=64)
     _, _, refusals = half_period_propagators(0.02, [0.5, 20.0, 50.0], config)
     assert refusals[0] is None
-    assert " at zeta = 40 with 64 steps per period;" in str(refusals[1])
-    assert " at zeta = 100 with 64 steps per period;" in str(refusals[2])
-    with pytest.raises(AccuracyError, match=r"at zeta = 40 with 64 steps per period"):
+    assert " at zeta = 40 with 32 steps over a span of 3.14159;" in str(refusals[1])
+    assert " at zeta = 100 with 32 steps over a span of 3.14159;" in str(refusals[2])
+    with pytest.raises(AccuracyError, match=r"at zeta = 40 with 32 steps over a span of 3\.14159;"):
         exact_quasienergy_scan(0.02, [1.0, 40.0, 100.0], config)
 
 
