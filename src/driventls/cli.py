@@ -55,16 +55,20 @@ def cmd_weights(params: SystemParams, propagation: PropagationConfig, n_grid: in
     can be plotted against each other directly: per zeta its exact, then its
     analytic modes, each mode 1 then mode 2.  Every zeta is solved first, so
     an error raises before any row exists.  The rows come as an iterator of
-    blocks, each as many whole (zeta, source) pairs as fit in _BLOCK_ROWS
-    rows, and at least one, built as render draws it: the payload renders once.
+    blocks, each as many whole zetas as fit in _BLOCK_ROWS rows or else one
+    (zeta, source) pair, built as render draws it: the payload renders once.
+    A one-pair block has its zeta and source as scalars, and every full block
+    of several pairs has the same mode, tau and source arrays.
     """
     errors, _, exact, _ = _mode_scan(params.delta, zeta_list, propagation, n_grid)
     _raise_first(errors)
     zetas, tau = np.asarray(zeta_list, dtype=float), tau_grid(n_grid)
     pairs = 2 * zetas.size
-    per_block = max(1, _BLOCK_ROWS // (2 * n_grid))
-    # every full block gets these same arrays, which render then knows by identity
+    per_block = max(1, _BLOCK_ROWS // (4 * n_grid) * 2)
+    # every full block gets these same arrays, which render then knows by identity; blocks of
+    # several pairs hold whole zetas, so their sources alternate from "exact"
     modes, taus = np.tile(np.repeat([1, 2], n_grid), per_block), np.tile(tau, 2 * per_block)
+    sources = np.repeat(np.tile(["exact", "analytic"], per_block // 2), 2 * n_grid)
 
     def block(first: int) -> dict:
         # pair 2k is the exact and pair 2k + 1 the analytic modes of zeta k
@@ -73,13 +77,17 @@ def cmd_weights(params: SystemParams, propagation: PropagationConfig, n_grid: in
         states[first % 2 :: 2] = exact[(first + 1) // 2 : (stop + 1) // 2]
         if analytic := zeta_list[first // 2 : stop // 2]:
             states[1 - first % 2 :: 2] = _states(params.delta, analytic, tau, on_grid=True)
-        weights = np.abs(states) ** 2
-        index, rows = np.arange(first, stop), weights[..., 0].size
+        count, weights = stop - first, np.abs(states) ** 2
+        mode, times, source = (a if count == per_block else a[: 2 * n_grid * count] for a in (modes, taus, sources))
+        if count == 1:
+            zeta, source = float(zetas[first // 2]), ("exact", "analytic")[first % 2]
+        else:
+            zeta = np.repeat(zetas[first // 2 : stop // 2], 4 * n_grid)
         return {
-            "zeta": np.repeat(zetas[index // 2], 2 * n_grid),
-            "mode": modes if rows == modes.size else modes[:rows],
-            "source": np.repeat(np.array(["exact", "analytic"])[index % 2], 2 * n_grid),
-            "tau": taus if rows == taus.size else taus[:rows],
+            "zeta": zeta,
+            "mode": mode,
+            "source": source,
+            "tau": times,
             "weight1": weights[..., 0].ravel(),
             "weight2": weights[..., 1].ravel(),
         }
@@ -142,8 +150,9 @@ def cmd_sweep(
         zeta = float(zetas[idx])
         if gap == 0.0:
             brackets.append((zeta, zeta, 0.0, 0.0))
-        elif idx + 1 < len(gaps) and gap * gaps[idx + 1] < 0.0:
-            brackets.append((zeta, float(zetas[idx + 1]), gap, gaps[idx + 1]))
+        elif idx + 1 < len(gaps) and (after := gaps[idx + 1]) != 0.0 and (gap > 0.0) != (after > 0.0):
+            # signs, not the product, which underflows to -0.0 for gaps below about 1e-160
+            brackets.append((zeta, float(zetas[idx + 1]), gap, after))
     return {
         "zeta_min": float(zeta_min),
         "zeta_max": float(zeta_max),
@@ -263,23 +272,6 @@ def _texts(columns: list, as_json: bool, known: dict | None = None) -> list[list
     return texts
 
 
-def _same(a, b) -> bool:
-    """Whether two columns are arrays equal bit for bit, so that -0.0 differs from 0.0."""
-    if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.dtype == b.dtype):
-        return False
-    if a is b:  # weights hands its full blocks the same mode and tau arrays
-        return True
-    return np.array_equal(a.view(np.uint64), b.view(np.uint64)) if a.dtype.kind == "f" else np.array_equal(a, b)
-
-
-def _one_valued(column) -> bool:
-    """Whether a column is an array whose cells all hold one value, floats bit for bit."""
-    if not (isinstance(column, np.ndarray) and column.size):
-        return False
-    values = column.view(np.uint64) if column.dtype.kind == "f" else column
-    return bool((values == values[0]).all())
-
-
 def _chunk(texts: list[list[str]], seps: list[str], tail: str, start: int, count: int) -> str:
     """Text of count rows of a block from `start`, each cell after its column's separator and
     each row ending in tail.  Its pieces go when it returns, so the table's writer holds no
@@ -296,37 +288,38 @@ def _write_table(table, as_json: bool, out: TextIO) -> None:
     """Write a table to out: its opening just before the first row, then _CHUNK_ROWS rows
     per write, then its closing, or an empty JSON table when there are no rows.
 
-    The table is one dict of equal-length columns, each a 1-D array or a list
-    that may hold None, or an iterator of such dicts with the same names: its
-    blocks of consecutive rows, each formatted and written before the next is
-    drawn.  A column equal bit for bit to the same column of the block before
-    keeps that block's texts.  A column of one value in a block is formatted
-    once and written as part of the separator before the next column.
+    The table is one dict of columns, or an iterator of such dicts with the
+    same names: its blocks of consecutive rows, each formatted and written
+    before the next is drawn.  A column is a 1-D array or a list that may hold
+    None, all of one length in a block, or a scalar, which is that value in
+    every row of its block; a block has at least one array or list.  A scalar
+    is formatted once and written as part of the separator before the next
+    column.  A column that is the same object as the column of the block
+    before keeps that block's texts.
     """
     written = 0
     columns, texts = [], []
     for block in [table] if isinstance(table, dict) else table:
-        known = {i: t for i, (c, p, t) in enumerate(zip(block.values(), columns, texts)) if _same(c, p)}
+        known = {i: t for i, (c, p, t) in enumerate(zip(block.values(), columns, texts)) if c is p}
         columns, texts = list(block.values()), None  # the other texts go before these are made
-        one = [i not in known and _one_valued(c) for i, c in enumerate(columns)]
-        texts = _texts([c[:1] if single else c for c, single in zip(columns, one)], as_json, known)
-        texts = [t[0] if single else t for t, single in zip(texts, one)]
+        one = [not isinstance(c, (list, np.ndarray)) for c in columns]
+        texts = _texts([[c] if single else c for c, single in zip(columns, one)], as_json, known)
         if as_json:
             names = [json.dumps(name) for name in block]
             seps = [f"\n    }},\n    {{\n      {names[0]}: "] + [f",\n      {name}: " for name in names[1:]]
             opening = f"[\n    {{\n      {names[0]}: "
         else:
             seps, opening = ["\n"] + [","] * (len(columns) - 1), ",".join(block) + "\n"
-        # each one-valued text joins the separator before it and the one after it
+        # each scalar's text joins the separator before it and the one after it
         cells, leads, tail = [], [], ""
-        for sep, t in zip(seps, texts):
-            if isinstance(t, str):
-                tail += sep + t
+        for sep, t, single in zip(seps, texts, one):
+            if single:
+                tail += sep + t[0]
             else:
                 cells.append(t)
                 leads.append(tail + sep)
                 tail = ""
-        rows = len(columns[0])
+        rows = len(next(c for c, single in zip(columns, one) if not single))
         for start in range(0, rows, _CHUNK_ROWS):
             text = _chunk(cells, leads, tail, start, min(_CHUNK_ROWS, rows - start))
             # the table's first row follows its opening, not a row
@@ -341,7 +334,8 @@ def _write_table(table, as_json: bool, out: TextIO) -> None:
 def render(payload: dict, output_format: str, out: TextIO) -> None:
     """Serialize a command payload to the text stream out as CSV or JSON.
 
-    A payload maps names to scalars, flat dicts, flat lists and tables, as
+    A payload maps names to scalars, flat dicts, flat lists and tables: a
+    dict with a list or array column, or an iterator of blocks, as
     _write_table takes them.  CSV puts the tables after `#` header lines;
     JSON writes each as row objects.  Every piece is written as soon as it
     is made, so the document is never whole.

@@ -210,6 +210,17 @@ def test_sweep_crossings_match_shirley(capsys, delta):
         assert abs(zeta - reference) <= 1e-12
 
 
+def test_sweep_finds_crossings_of_gaps_whose_product_underflows(capsys):
+    # at delta 1e-170 the gaps either side of a crossing are about 1e-172, so their
+    # product underflows to -0.0; the crossings sit at the J_0 zeros to first order
+    code, out, _ = _run(capsys, ["sweep", "--delta", "1e-170", "--format", "json"])
+    assert code == 0
+    crossings = json.loads(out)["crossings"]
+    assert len(crossings) == 2
+    for k, zeta in enumerate(crossings, start=1):
+        assert abs(zeta - driventls.bessel.j0_zero(k)) <= 1e-12
+
+
 def test_sweep_crossings_take_few_solves(monkeypatch, capsys, scans):
     # the 121 grid points come from one batched scan; every further Floquet
     # solve is spent locating the two crossings, which advance in lock-step
@@ -859,10 +870,10 @@ def test_full_stdout_exits_3_in_a_fresh_process():
     assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
-def _weights_payload(zetas):
+def _weights_payload(zetas, grid=4096):
     params = driventls.SystemParams(delta=0.02, rabi=0.3, dipole=1.0)
     propagation = driventls.PropagationConfig(steps_per_period=4096)
-    return driventls.cli.cmd_weights(params, propagation, 4096, zetas)
+    return driventls.cli.cmd_weights(params, propagation, grid, zetas)
 
 
 def _render_peak(payload, fmt):
@@ -884,8 +895,10 @@ def test_streamed_table_never_holds_the_document():
         chunk = max(map(len, sink.chunks))
         rows = _weights_payload([0.6, 3.1])["rows"]
         tracemalloc.start()
+        # the block's zeta and source are scalars, which _write_table formats as one-cell lists
+        columns = [c if isinstance(c, (list, np.ndarray)) else [c] for c in next(rows).values()]
         try:
-            driventls.cli._texts(list(next(rows).values()), fmt == "json")
+            driventls.cli._texts(columns, fmt == "json")
             block_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -966,15 +979,48 @@ def test_one_valued_columns_render_as_each_cell_alone(fmt):
     ]
     expected = _table_reference(blocks, fmt)
     assert _render({"rows": iter(blocks)}, fmt).split("\n") == expected.split("\n")
+    # the same blocks with x, k, ok, label and last as scalars, the way weights hands a
+    # one-pair block's zeta and source: first, in the middle and last, in the one-row block
+    # too, and among them -0.0 and 5e-324; the first two blocks share one "t" array
+    scalar = {"x", "k", "ok", "label", "last"}
+    scalars = [{name: c[0].item() if name in scalar else c for name, c in b.items()} for b in blocks]
+    scalars[1]["t"] = scalars[0]["t"]
+    assert _render({"rows": iter(scalars)}, fmt).split("\n") == expected.split("\n")
     # the same rows in one block, where no column is one-valued
     whole = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
     assert _render({"rows": whole}, fmt) == expected
 
 
+_NINE_ZETAS = ["0.6", "3.1", "0", "2.404825557695773", "5.5", "1.7", "0.3", "4.4", "10"]
+
+
+def _same_bytes_in_one_block(monkeypatch, capsys, argv, pairs, grid):
+    code, blocks, _ = _run(capsys, argv)
+    monkeypatch.setattr(driventls.cli, "_BLOCK_ROWS", pairs * 2 * grid)
+    assert code == 0 and _run(capsys, argv) == (0, blocks, "")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_weights_in_one_block_print_the_bytes_of_one_pair_blocks(monkeypatch, capsys, fmt):
-    # at grid 4096 each block is one (zeta, source) pair, whose zeta and source are one-valued
+    # at grid 4096 each block is one (zeta, source) pair, with its zeta and source as scalars
     argv = ["weights", "--zetas", "0.6", "3.1", "--grid", "4096", "--format", fmt]
-    code, pairs, _ = _run(capsys, argv)
-    monkeypatch.setattr(driventls.cli, "_BLOCK_ROWS", 2 * 2 * 2 * 4096)
-    assert code == 0 and _run(capsys, argv) == (0, pairs, "")
+    _same_bytes_in_one_block(monkeypatch, capsys, argv, 4, 4096)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_weights_in_one_block_print_the_bytes_of_multi_pair_blocks(monkeypatch, capsys, fmt):
+    # at grid 512 the 18 pairs come in blocks of 8, 8 and 2, the full two sharing their arrays
+    argv = ["weights", "--zetas", *_NINE_ZETAS, "--grid", "512", "--format", fmt]
+    _same_bytes_in_one_block(monkeypatch, capsys, argv, 18, 512)
+
+
+def test_weights_blocks_hand_what_repeats():
+    # a one-pair block has its zeta and source as scalars; the full blocks of several pairs
+    # share their mode, tau and source arrays, and a partial last block has their starts
+    pairs = [(b["zeta"], b["source"]) for b in _weights_payload([0.6, 3.1])["rows"]]
+    assert pairs == [(0.6, "exact"), (0.6, "analytic"), (3.1, "exact"), (3.1, "analytic")]
+    assert all(type(zeta) is float for zeta, _ in pairs)
+    first, second, last = _weights_payload([float(z) for z in _NINE_ZETAS], 512)["rows"]
+    assert [first["zeta"].size, second["zeta"].size, last["zeta"].size] == [8 * 2 * 512, 8 * 2 * 512, 2 * 2 * 512]
+    for name in ("mode", "tau", "source"):
+        assert first[name] is second[name] and np.array_equal(last[name], first[name][: 2 * 2 * 512]), name
