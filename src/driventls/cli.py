@@ -458,6 +458,9 @@ def main(argv: list[str] | None = None) -> int:
     except DrivenTLSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return 3
 
     output_format = "json" if args.command == "validate" else args.format
     try:
@@ -473,6 +476,9 @@ def main(argv: list[str] | None = None) -> int:
             # the stream keeps what it failed to write and would fail again flushing it at exit
             with contextlib.suppress(OSError):
                 sys.stdout.close()
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 3
 
     if args.command == "validate" and not payload["overall_pass"]:

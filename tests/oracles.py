@@ -4,14 +4,23 @@ Everything here deliberately avoids the production code paths: Bessel values
 come from the ascending power series evaluated in multiprecision arithmetic
 (the production code uses a downward recurrence), zeros come from bisection
 on that series, and the auxiliary Fourier sums are checked against direct
-quadrature of their defining integrals.  Agreement between these routes and
-the package is the point of the tests, so none of them may share code.
+quadrature of their defining integrals.  Quasienergies, modes, intensities
+and crossings come from Shirley's Floquet matrix, ``shirley`` here: the
+benchmark's perfbench/shirley.py.  Agreement between these routes and the
+package is the point of the tests, so none of them may share code with it.
 """
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 from mpmath import mp, mpf
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import shirley  # noqa: E402
 
 
 def j_power_series(n: int, x: float, dps: int = 40) -> float:
@@ -145,114 +154,10 @@ def evolution_linearized(delta: float, zeta: float, tau: float) -> np.ndarray:
     return frame @ mean_phase @ linear
 
 
-def _floquet_matrix(delta: float, zeta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Shirley's Floquet matrix and the harmonic index of each basis state.
-
-    The basis is (harmonic n, ground) and (harmonic n, excited) for
-    n = -n_harm..n_harm, interleaved.
-    """
-    n_harm = int(np.ceil(zeta)) + 40
-    n = np.arange(-n_harm, n_harm + 1, dtype=float)
-    h = np.diag(np.column_stack((n - 0.5 * delta, n + 0.5 * delta)).ravel())
-    # ground of harmonic n couples to excited of n + 1 and vice versa
-    ground = 2 * np.arange(n.size - 1)
-    for a, b in ((ground, ground + 3), (ground + 1, ground + 2)):
-        h[a, b] = h[b, a] = -0.25 * zeta
-    return h, np.repeat(np.arange(-n_harm, n_harm + 1), 2)
-
-
-def shirley_quasienergies(delta: float, zeta: float) -> tuple[float, float]:
-    """Both quasienergies in (-1/2, 1/2] from Shirley's Floquet matrix.
-
-    J. H. Shirley, Phys. Rev. 138, B979 (1965): expanding a Floquet state in
-    harmonics exp(i n tau) turns H(tau) = diag(-delta/2, delta/2) -
-    (zeta/2) cos(tau) sigma_x into a time-independent symmetric matrix with
-    diagonal blocks diag(-delta/2 + n, delta/2 + n) and blocks
-    -(zeta/4) sigma_x between neighbouring harmonics.  No time grid and no
-    integrator; ceil(zeta) + 40 harmonics on each side truncate far past
-    where J_n(zeta/2) is negligible.
-    """
-    h, _ = _floquet_matrix(delta, zeta)
-    values = np.linalg.eigvalsh(h)
-    inside = values[(values > -0.5) & (values <= 0.5)]
-    if inside.size != 2:
-        raise RuntimeError(f"{inside.size} Floquet-matrix eigenvalues in the zone")
-    return float(inside[0]), float(inside[1])
-
-
-def _parity_block_modes(delta: float, zeta: float) -> tuple[list[np.ndarray], int, list[float]]:
-    """Harmonic coefficients and quasienergies of mode 1 and mode 2 from the
-    parity blocks.
-
-    An eigenvector c of the Floquet matrix with eigenvalue eps in (-1/2, 1/2]
-    is the periodic mode u(tau) = sum_n c_n e^{i n tau}, unit norm over the
-    period.  The matrix commutes with the generalized parity
-    c_{n,s} -> (-1)^(n+s) c_{n,s} (s = 0 ground, 1 excited), so the symmetric
-    mode 1 lives on the states with n + s even and the antisymmetric mode 2
-    on the rest; diagonalizing each block separately keeps the two modes
-    apart even where their quasienergies cross.  Row n + n_harm of each
-    returned array holds (ground, excited) of harmonic n.
-    """
-    h, harmonic = _floquet_matrix(delta, zeta)
-    spin = np.arange(harmonic.size) % 2
-    coeffs, eps = [], []
-    for parity in (0, 1):
-        block = (harmonic + spin) % 2 == parity
-        values, vectors = np.linalg.eigh(h[np.ix_(block, block)])
-        inside = np.flatnonzero((values > -0.5) & (values <= 0.5))
-        if inside.size != 1:
-            raise RuntimeError(f"{inside.size} block eigenvalues in the zone")
-        full = np.zeros(harmonic.size, dtype=complex)
-        full[block] = vectors[:, inside[0]]
-        coeffs.append(full.reshape(-1, 2))
-        eps.append(float(values[inside[0]]))
-    return coeffs, int(harmonic.max()), eps
-
-
-def shirley_parity_gap(delta: float, zeta: float) -> float:
-    """eps2 - eps1 of the parity-labelled modes, from the same Floquet matrix
-    as shirley_quasienergies split into its parity blocks; it changes sign
-    at every level crossing."""
-    eps = _parity_block_modes(delta, zeta)[2]
-    return eps[1] - eps[0]
-
-
-def shirley_modes(delta: float, zeta: float, taus) -> np.ndarray:
-    """Mode 1 (symmetric) and mode 2 (antisymmetric) sampled at the phases taus.
-
-    Sums the harmonics of the parity-block eigenvectors of Shirley's Floquet
-    matrix, u(tau) = sum_n c_n e^{i n tau}.  Returns an array of shape
-    (2, len(taus), 2); the overall phase of each mode is arbitrary.
-    """
-    coeffs, n_harm, _ = _parity_block_modes(delta, zeta)
-    harmonics = np.arange(-n_harm, n_harm + 1)
-    waves = np.exp(1j * np.multiply.outer(np.asarray(taus, dtype=float), harmonics))
-    return np.stack([waves @ c for c in coeffs])
-
-
-def shirley_line_intensities(
-    delta: float, zeta: float, k_max: int, dipole: float = 1.0
-) -> dict[tuple[int, int, int], float]:
-    """Line intensities |<<mode_i| dipole*sigma_x e^{i k tau} |mode_j>>|^2 from
-    the Fourier components of the parity-block eigenvectors.
-
-    The period average reduces to a sum over harmonics:
-    <<u_i| sigma_x e^{i k tau} |u_j>> = sum_m conj(c^i_{m+k}) . sigma_x c^j_m.
-
-    Returns intensities for i, j in (1, 2) and |k| <= k_max, every parity
-    class included.
-    """
-    coeffs, n_harm, _ = _parity_block_modes(delta, zeta)
-    out = {}
-    for i in (1, 2):
-        for j in (1, 2):
-            ci, flipped = coeffs[i - 1], coeffs[j - 1][:, ::-1]  # sigma_x c^j
-            for k in range(-k_max, k_max + 1):
-                # pair c^i at harmonic m + k with sigma_x c^j at harmonic m
-                m = np.arange(max(0, -k), min(2 * n_harm + 1, 2 * n_harm + 1 - k))
-                element = np.sum(np.conj(ci[m + k]) * flipped[m])
-                out[(i, j, k)] = float(abs(dipole * element) ** 2)
-    return out
+def quasienergy_miss(delta: float, zeta: float, eps1: float, eps2: float) -> float:
+    """Larger zone distance of eps1, eps2 from Shirley's mode 1, mode 2: a label swap misses."""
+    reference = shirley.solve(delta, zeta).quasienergies
+    return max(shirley.zone_distance(eps1, reference[0]), shirley.zone_distance(eps2, reference[1]))
 
 
 # |parity overlap| below this is neither clearly symmetric nor antisymmetric

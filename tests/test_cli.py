@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import shirley_parity_gap
+from oracles import shirley
 
 import driventls.bessel
 import driventls.cli
@@ -186,19 +186,6 @@ def test_collapsed_bracket_keeps_its_place_and_costs_no_solve(scans):
     assert scans == alone
 
 
-def _shirley_crossing(delta, lo, hi):
-    g_lo = shirley_parity_gap(delta, lo)
-    assert g_lo * shirley_parity_gap(delta, hi) < 0.0
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        g_mid = shirley_parity_gap(delta, mid)
-        if (g_mid > 0.0) == (g_lo > 0.0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 @pytest.mark.parametrize("delta", ["0.03", "0.3"])
 def test_sweep_crossings_match_shirley(capsys, delta):
     code, out, _ = _run(capsys, ["sweep", "--delta", delta, "--format", "json"])
@@ -206,8 +193,9 @@ def test_sweep_crossings_match_shirley(capsys, delta):
     crossings = json.loads(out)["crossings"]
     assert len(crossings) == 2
     for zeta in crossings:
-        reference = _shirley_crossing(float(delta), zeta - 1e-6, zeta + 1e-6)
-        assert abs(zeta - reference) <= 1e-12
+        bracket = [zeta - 1e-6, zeta + 1e-6]
+        gaps = [shirley.solve(float(delta), z).gap for z in bracket]
+        assert shirley.crossings(float(delta), bracket, gaps, 1e-14) == [pytest.approx(zeta, rel=0.0, abs=1e-12)]
 
 
 def test_sweep_finds_crossings_of_gaps_whose_product_underflows(capsys):
@@ -647,6 +635,27 @@ def test_unwritable_output_exits_3(capsys):
     )
     assert code == 3
     assert "cannot write" in err
+
+
+@pytest.mark.parametrize(
+    "name, argv", [("exact_quasienergy_scan", ["sweep"]), ("_texts", ["spectrum", "--grid", "64"])]
+)
+def test_out_of_memory_exits_3_on_one_line(monkeypatch, capsys, name, argv):
+    # a failed allocation in the command phase or the render phase is a refused request, not a traceback
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 32.0 GiB for an array")
+
+    monkeypatch.setattr(driventls.cli, name, no_memory)
+    code, _, err = _run(capsys, argv)
+    assert (code, err) == (3, "error: out of memory: Unable to allocate 32.0 GiB for an array\n")
+
+
+def test_shirley_reference_loads_no_driventls_code():
+    # a fresh interpreter imports the reference the way the tests do
+    probe = "import sys; sys.path[:0] = sys.argv[1:]; from oracles import shirley; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe, str(Path(__file__).parent)], capture_output=True, text=True)
+    assert proc.returncode == 0 and "shirley" in proc.stdout.split(), proc.stderr
+    assert [name for name in proc.stdout.split() if name.startswith("driventls")] == []
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import averaged_overlap_sq, classify_parity, shirley_modes, shirley_quasienergies
+from oracles import averaged_overlap_sq, classify_parity, quasienergy_miss, shirley
 
 import driventls.propagator
 from driventls import (
@@ -174,11 +174,18 @@ def test_mode_vectors_match_shirley(delta, zeta):
     # operator loses digits in the mode vectors; Shirley's Floquet matrix
     # shares no code with the propagator
     modes = build_modes(_params(delta, zeta), n_grid=64).modes
-    reference = shirley_modes(delta, zeta, [0.0])[:, 0]
-    for mode, ref in zip(modes, reference):
+    for mode in modes:
+        ref = shirley.solve(delta, zeta).mode(mode.label, np.zeros(1))[0]
         big = ref[np.argmax(np.abs(ref))]
         ref = ref * (big.conjugate() / abs(big))  # largest component real positive
         assert np.max(np.abs(mode.samples[0] - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("delta, zeta", [(1.0, 1e-4), (0.02, j0_zero(1)), (0.5, 40.0), (0.02, 100.0), (0.3, 3.1)])
+def test_shirley_sectors_hold_the_zone_eigenvalues_of_the_unsplit_matrix(delta, zeta):
+    values = np.linalg.eigvalsh(shirley.floquet_matrix(delta, zeta, shirley.harmonics(zeta)))
+    inside = values[(values > -0.5) & (values <= 0.5)]
+    assert inside.size == 2 and np.max(np.abs(inside - sorted(shirley.solve(delta, zeta).quasienergies))) <= 1e-12
 
 
 def test_zone_boundary_has_no_parity():
@@ -193,10 +200,7 @@ def test_zone_boundary_has_no_parity():
 def test_zone_boundary_neighbourhood_solves():
     # a weak drive at delta = 1 already splits the modes by parity
     pair = exact_quasienergies(_params(1.0, 1e-4))
-    a, b = shirley_quasienergies(1.0, 1e-4)
-    straight = max(quasienergy_distance(pair.eps1, a), quasienergy_distance(pair.eps2, b))
-    crossed = max(quasienergy_distance(pair.eps1, b), quasienergy_distance(pair.eps2, a))
-    assert min(straight, crossed) <= 1e-10
+    assert quasienergy_miss(1.0, 1e-4, pair.eps1, pair.eps2) <= 1e-10
 
 
 @pytest.mark.parametrize("delta, zeta_min", [(0.0, 0.0), (0.02, 0.0), (1.0, 0.25)])

@@ -1,11 +1,11 @@
 """Fresh CLI output against the committed goldens in tests/golden/, column by column.
 
 Integer, string, boolean and null cells must match exactly, and so must every
-float column not named in TOLERANCES.  The goldens cover the invocations of
-the CI output contract, with weights on a 128-sample grid in place of 1024 to
-keep the files small.  A change that moves output within the tolerances
-regenerates them and says so; one that moves output beyond them changes the
-contract.  From the root of a checkout,
+float column not named in TOLERANCES.  The goldens cover the CI contract runs
+but weights at --grid 4096 and the nine-zeta --grid 512 set, with weights on a
+128-sample grid in place of 1024.  A change within the tolerances regenerates
+them and says so; one beyond them changes the contract.  From the root of a
+checkout,
 
     PYTHONPATH=src python tests/test_golden.py --diff
 
